@@ -12,9 +12,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from functools import lru_cache
 
-from . import crn, descartes, oracle
+from . import crn, descartes
 from .engine import (
     DEFAULT_PRECISION_BITS,
     FullSpace,
@@ -90,7 +90,7 @@ def _cmd_injectivity(args) -> int:
     A = _load_matrix(args.A)
     B = _load_matrix(args.B)
     S = _subset_from_args(args, B.cols)
-    verdict = check_injectivity(A, B, S)
+    verdict = check_injectivity(A, B, S, args.precision)
     _emit(
         {"command": "injectivity", **verdict.to_json_dict()},
         args,
@@ -175,7 +175,7 @@ def _cmd_crn(args) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read {args.kinetic_orders}: {exc}") from exc
     if args.crn_cmd == "preclude":
-        verdict = crn.preclude_multistationarity(net)
+        verdict = crn.preclude_multistationarity(net, args.precision)
         _emit({"command": "crn-preclude", **verdict.to_json_dict()}, args,
               f"multistationarity {'PRECLUDED' if verdict.precluded else 'NOT precluded'}: {verdict.note}")
         return EXIT_HOLDS if verdict.precluded else EXIT_FAILS
@@ -199,6 +199,8 @@ def _cmd_crn(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle  # loads numpy, which no other command needs
+
     if args.oracle_cmd == "sign-set":
         M = _load_matrix(args.M)
         vectors = oracle.brute_force_sign_set(M, args.mode)
@@ -232,14 +234,18 @@ def _cmd_oracle(args) -> int:
     return EXIT_FAILS if report.found_violation else EXIT_HOLDS
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="signject",
         description="exact injectivity, Descartes-rule, and multistationarity decisions",
     )
     parser.add_argument("--precision", type=int, default=None,
-                        help="working precision in bits (default 256, min 64)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree (output-invariant)")
+                        help="working precision in bits of counterexamples (default "
+                             "$SIGNJECT_PRECISION_BITS, else 256; min 64)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=0, help="rng seed for sampling oracles")
     parser.add_argument("--output", help="write JSON here instead of stdout")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -322,16 +328,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    precision = args.precision
-    if precision is None:
-        precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
-    if precision < 64:
+    if args.precision is None:
+        args.precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+    if args.precision < 64:
         print("error: precision must be at least 64 bits", file=sys.stderr)
         return EXIT_USAGE
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    os.environ["SIGNJECT_PRECISION_BITS"] = str(precision)
     try:
         return args.func(args)
     except TooLarge as exc:

@@ -17,12 +17,12 @@ from typing import Optional
 
 from mpmath import mp
 
-from .engine import Subspace, Verdict, check_injectivity
-from .errors import ParseError, ShapeMismatch, UnknownSpecies
+from .engine import DEFAULT_PRECISION_BITS, Subspace, Verdict, check_injectivity, exponential_pair
+from .errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
 from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
-from .matroid import image_sign_vectors, matroid_vectors
+from .matroid import common_sign_vectors
 from .ratmat import RationalMatrix, parse_rational
-from .signs import SignVector, sigma
+from .signs import SignVector
 
 NUMERIC_DIGITS = 50
 
@@ -191,11 +191,16 @@ class PreclusionVerdict:
         }
 
 
-def preclude_multistationarity(net: ReactionNetwork) -> PreclusionVerdict:
-    """Decide injectivity on every compatibility class; on failure, hunt for a pair."""
+def preclude_multistationarity(
+    net: ReactionNetwork, prec: int = DEFAULT_PRECISION_BITS
+) -> PreclusionVerdict:
+    """Decide injectivity on every compatibility class; on failure, hunt for a pair.
+
+    prec is the working precision, in bits, of the injectivity counterexample.
+    """
     N, V = stoichiometry(net)
     S = Subspace(C=N)
-    verdict = check_injectivity(N, V, S)
+    verdict = check_injectivity(N, V, S, prec)
     if verdict.injective:
         return PreclusionVerdict(
             precluded=True,
@@ -261,10 +266,11 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
                 kappa = res.witness
                 for point in (x, y):
                     mono = [_monomial(point, V.entries[j]) for j in range(r)]
-                    assert all(
+                    if not all(
                         sum(N.entries[i][j] * kappa[j] * mono[j] for j in range(r)) == 0
                         for i in range(n)
-                    )
+                    ):
+                        raise VerificationFailed("kappa does not make the pair steady states")
                 return {
                     "kappa": [str(k) for k in kappa],
                     "x": [str(v) for v in x],
@@ -290,9 +296,7 @@ def special_unique(M: RationalMatrix, S: Subspace) -> bool:
         raise ShapeMismatch("M must have one column per species")
     if S.dim() == 0:
         return True
-    kerM = set(matroid_vectors(M))
-    sigS = set(image_sign_vectors(S.image_presentation()))
-    return all(v.is_zero() for v in kerM & sigS)
+    return not common_sign_vectors(M, S.image_presentation())
 
 
 @dataclass(frozen=True)
@@ -330,34 +334,26 @@ def multistationarity_witness(
     if S.dim() == 0:
         return None
     n = M.cols
-    kerM = set(matroid_vectors(M))
-    sigS = set(image_sign_vectors(S.image_presentation()))
-    shared = sorted(v for v in kerM & sigS if not v.is_zero())
+    shared = common_sign_vectors(M, S.image_presentation())
     if not shared:
         return None
     rho = shared[0]
     v = rational_point_with_sign(M if M.rows else None, n, rho)
     Z = S.kernel_presentation()
     z = rational_point_with_sign(Z if Z.rows else None, n, rho)
-    assert v is not None and z is not None
-    assert all(sum(M.entries[i][j] * v[j] for j in range(n)) == 0 for i in range(M.rows))
-    x_num, y_num = [], []
+    if v is None or z is None:
+        raise VerificationFailed("no rational point of the shared sign in ker(M) or in S")
+    if not all(sum(M.entries[i][j] * v[j] for j in range(n)) == 0 for i in range(M.rows)):
+        raise VerificationFailed("v is not in ker(M)")
     with mp.workprec(int(NUMERIC_DIGITS * 3.33) + 16):
-        for zi, vi in zip(z, v):
-            if zi == 0:
-                x_num.append(mp.mpf(1))
-                y_num.append(mp.mpf(1))
-            else:
-                ev = mp.exp(mp.mpf(vi.numerator) / mp.mpf(vi.denominator))
-                yi = (mp.mpf(zi.numerator) / mp.mpf(zi.denominator)) / (ev - 1)
-                y_num.append(yi)
-                x_num.append(yi * ev)
+        x_num, y_num = exponential_pair(z, v)
         # numeric spot check of x^M = y^M on top of the exact Mv = 0 certificate
         for i in range(M.rows):
             mrow = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in M.entries[i]]
             lx = sum(mrow[j] * mp.log(x_num[j]) for j in range(n))
             ly = sum(mrow[j] * mp.log(y_num[j]) for j in range(n))
-            assert abs(lx - ly) < mp.mpf(10) ** (-NUMERIC_DIGITS + 5)
+            if not abs(lx - ly) < mp.mpf(10) ** (-NUMERIC_DIGITS + 5):
+                raise VerificationFailed("x^M and y^M differ numerically")
         return SpecialWitness(
             rho=rho,
             v=v,

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .engine import check_minors
 from .errors import RankDeficient, ShapeMismatch, TooLarge
 from .feasibility import cone_interior_membership, open_halfspace_contains_rows
-from .matroid import GROUND_SET_GUARD, image_sign_vectors, matroid_vectors
+from .matroid import GROUND_SET_GUARD, common_sign_vectors
 from .ratmat import RationalMatrix, det, rank
 from .signs import sign_of
 
@@ -27,7 +28,6 @@ class DescartesReport:
     halfspace_witness: Optional[tuple] = None
     matroid_equal: bool = False
     conflicting_J: Optional[tuple] = None  # pair of column subsets
-    cone_membership: Optional[bool] = None
 
     def __post_init__(self):
         if self.ex_holds and not self.bnd_holds:
@@ -44,7 +44,7 @@ class DescartesReport:
             "conflicting_J": None
             if self.conflicting_J is None
             else [list(self.conflicting_J[0]), list(self.conflicting_J[1])],
-            "cone_membership": self.cone_membership,
+            "cone_membership": None,
         }
 
 
@@ -65,26 +65,13 @@ def check_bnd(A: RationalMatrix, B: RationalMatrix):
     Returns (holds, ledger); the ledger carries the first conflicting pair of
     column subsets in lexicographic order, if any.
     """
-    n, r = _require_shapes(A, B)
-    rows = list(range(n))
-    common = 0
-    first = None
-    conflict = None
-    for J in combinations(range(r), n):
-        p = det(A.submatrix(rows, J)) * det(B.submatrix(J, rows))
-        sg = sign_of(p)
-        if sg == 0:
-            continue
-        if common == 0:
-            common, first = sg, J
-        elif sg != common and conflict is None:
-            conflict = (first, J)
-    holds = common != 0 and conflict is None
-    ledger = {
-        "common_sign": common,
-        "conflicting_J": None if conflict is None else [list(conflict[0]), list(conflict[1])],
+    n, _ = _require_shapes(A, B)
+    holds, minors = check_minors(A, B, n)
+    conflict = minors["conflict"]
+    return holds, {
+        "common_sign": minors["common_sign"],
+        "conflicting_J": None if conflict is None else [conflict[k]["J"] for k in ("first", "second")],
     }
-    return holds, ledger
 
 
 def check_ex(A: RationalMatrix, B: RationalMatrix) -> DescartesReport:
@@ -92,6 +79,7 @@ def check_ex(A: RationalMatrix, B: RationalMatrix) -> DescartesReport:
     n, r = _require_shapes(A, B)
     rows = list(range(n))
     agree = None  # +1 same sign everywhere, -1 opposite everywhere
+    product_signs = set()  # signs of the nonzero products det(A_J) det(B_J), for (bnd)
     conflict = None
     first = None
     for J in combinations(range(r), n):
@@ -104,6 +92,7 @@ def check_ex(A: RationalMatrix, B: RationalMatrix) -> DescartesReport:
                 conflict = (first if first is not None else J, J)
             continue
         rel = sa * sb
+        product_signs.add(rel)
         if agree is None:
             agree, first = rel, J
         elif rel != agree and conflict is None:
@@ -114,9 +103,8 @@ def check_ex(A: RationalMatrix, B: RationalMatrix) -> DescartesReport:
     witness = hs.witness if hs.feasible else None
 
     ex_holds = matroid_equal and hs.feasible
-    bnd_holds, _ = check_bnd(A, B)
     return DescartesReport(
-        bnd_holds=bnd_holds,
+        bnd_holds=len(product_signs) == 1,
         ex_holds=ex_holds,
         halfspace_witness=witness,
         matroid_equal=matroid_equal,
@@ -155,6 +143,4 @@ def check_at_most_one_solution(A: RationalMatrix, B: RationalMatrix) -> bool:
         return holds
     if r > GROUND_SET_GUARD:
         raise TooLarge(f"sign-set intersection guarded at ground-set size {GROUND_SET_GUARD}")
-    kerA = set(matroid_vectors(A))
-    imB = set(image_sign_vectors(B))
-    return all(v.is_zero() for v in kerA & imB)
+    return not common_sign_vectors(A, B)

@@ -9,8 +9,7 @@ counterexample witness is rendered and re-verified at high precision.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -20,15 +19,17 @@ from mpmath import libmp, mp
 
 from .errors import LengthMismatch, NonPositiveInput, ShapeMismatch, VerificationFailed
 from .feasibility import (
-    FeasibilityResult,
+    StrictSystem,
     feasible_sign_pair,
     rational_point_with_sign,
+    solve_strict,
     split_pair_witness,
 )
-from .matroid import image_sign_vectors, matroid_vectors
+from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
 from .ratmat import (
     IndexSet,
     RationalMatrix,
+    column_basis,
     det,
     gale_dual,
     kernel_basis,
@@ -40,10 +41,6 @@ from .signs import SignVector, sigma, sign_of
 
 DEFAULT_PRECISION_BITS = 256
 RESIDUAL_TOLERANCE = mp.mpf("1e-30")
-
-
-def precision_bits() -> int:
-    return int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
 
 
 # -- subset specifications ----------------------------------------------------
@@ -76,14 +73,7 @@ class Subspace:
 
     def image_presentation(self) -> RationalMatrix:
         """n x dim matrix with independent columns spanning S."""
-        if self.Z is not None:
-            return kernel_basis(self.Z)
-        C = self.C
-        if rank(C) == C.cols:
-            return C
-        R, _ = rref(C.transpose())
-        rows = [R.entries[i] for i in range(rank(C))]
-        return RationalMatrix(rows, len(rows), C.rows).transpose()
+        return kernel_basis(self.Z) if self.Z is not None else column_basis(self.C)
 
     def kernel_presentation(self) -> RationalMatrix:
         """(n - dim) x n matrix Z with S = ker(Z); zero rows when S = R^n."""
@@ -262,26 +252,29 @@ class Verdict:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def _iv_from_exact(value, ctx):
+def _from_exact(value, ctx=mp):
     if isinstance(value, Fraction):
         return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
     return ctx.mpf(value)
 
 
-def _monomials_iv(B: RationalMatrix, x, ctx):
-    logs = [ctx.log(_iv_from_exact(xi, ctx)) for xi in x]
+def _monomials(B: RationalMatrix, x, ctx):
+    """x^B, one value per row of B, in ctx (mp for points, iv for enclosures)."""
+    logs = [ctx.log(_from_exact(xi, ctx)) for xi in x]
     out = []
     for j in range(B.rows):
         expo = ctx.mpf(0)
         for i in range(B.cols):
             b = B.entries[j][i]
             if b != 0:
-                expo += _iv_from_exact(b, ctx) * logs[i]
+                expo += _from_exact(b, ctx) * logs[i]
         out.append(ctx.exp(expo))
     return out
 
 
-def evaluate_map(A: RationalMatrix, B: RationalMatrix, kappa, x, prec: Optional[int] = None):
+def evaluate_map(
+    A: RationalMatrix, B: RationalMatrix, kappa, x, prec: int = DEFAULT_PRECISION_BITS
+):
     """f_kappa(x) = A diag(kappa) x^B with a rigorous interval error bound.
 
     Returns (values, error_bound): midpoints and the largest interval radius,
@@ -295,13 +288,12 @@ def evaluate_map(A: RationalMatrix, B: RationalMatrix, kappa, x, prec: Optional[
         raise LengthMismatch("kappa must match columns of A; x must match columns of B")
     if any(k <= 0 for k in kappa) or any(xi <= 0 for xi in x):
         raise NonPositiveInput("kappa and x must be componentwise positive")
-    prec = prec or precision_bits()
     ctx = mpmath.iv
     old = ctx.prec
     try:
         ctx.prec = prec
         with mp.workprec(prec):
-            mono = _monomials_iv(B, x, ctx)
+            mono = _monomials(B, x, ctx)
             values = []
             radius = mp.mpf(0)
             for i in range(A.rows):
@@ -309,7 +301,7 @@ def evaluate_map(A: RationalMatrix, B: RationalMatrix, kappa, x, prec: Optional[
                 for j in range(A.cols):
                     a = A.entries[i][j]
                     if a != 0:
-                        acc += _iv_from_exact(a, ctx) * _iv_from_exact(kappa[j], ctx) * mono[j]
+                        acc += _from_exact(a, ctx) * _from_exact(kappa[j], ctx) * mono[j]
                 values.append(mp.mpf(acc.mid))
                 radius = max(radius, mp.mpf(acc.delta) / 2)
             return tuple(values), radius
@@ -323,6 +315,25 @@ def _mpf_to_fraction(value) -> Fraction:
 
 
 # -- counterexample construction ----------------------------------------------
+
+
+def exponential_pair(z, v):
+    """Positive x, y with x - y = z and ln x - ln y = v, at the caller's mp precision.
+
+    z and v are rational with one sign pattern: y_i = z_i / (e^{v_i} - 1) and
+    x_i = y_i e^{v_i}, and x_i = y_i = 1 where z_i = 0.
+    """
+    x, y = [], []
+    for zi, vi in zip(z, v):
+        if zi == 0:
+            x.append(mp.mpf(1))
+            y.append(mp.mpf(1))
+        else:
+            ev = mp.exp(_from_exact(vi))
+            yi = _from_exact(zi) / (ev - 1)
+            y.append(yi)
+            x.append(yi * ev)
+    return x, y
 
 
 def _rational_point_in_subset(S, tau: SignVector):
@@ -344,7 +355,7 @@ def construct_counterexample(
     mu: SignVector,
     tau: SignVector,
     pair_witness,
-    prec: Optional[int] = None,
+    prec: int = DEFAULT_PRECISION_BITS,
 ) -> Counterexample:
     """Build (kappa, x, y) with f_kappa(x) = f_kappa(y), x - y in S, from a feasible pair.
 
@@ -353,7 +364,6 @@ def construct_counterexample(
     as exact positive rationals, so the verified residual is nonzero but far
     below tolerance.
     """
-    prec = prec or precision_bits()
     _, y_hat = pair_witness
     if sigma(y_hat) != tau:
         raise VerificationFailed("pair witness does not carry the sign tau")
@@ -367,27 +377,15 @@ def construct_counterexample(
 
     for attempt_prec in (prec, max(4 * prec, 1024)):
         with mp.workprec(attempt_prec):
-            v = [mp.mpf(t.numerator) / mp.mpf(t.denominator) for t in y_hat]
-            x_num, y_num = [], []
-            for zi, vi in zip(z, v):
-                if zi == 0:
-                    x_num.append(mp.mpf(1))
-                    y_num.append(mp.mpf(1))
-                else:
-                    ev = mp.exp(vi)
-                    zi_mp = mp.mpf(zi.numerator) / mp.mpf(zi.denominator)
-                    yi = zi_mp / (ev - 1)
-                    y_num.append(yi)
-                    x_num.append(yi * ev)
-            xB = _power_products(B, x_num)
-            yB = _power_products(B, y_num)
+            x_num, y_num = exponential_pair(z, y_hat)
+            xB = _monomials(B, x_num, mp)
+            yB = _monomials(B, y_num, mp)
             kappa = []
             for j in range(A.cols):
                 if w[j] == 0:
                     kappa.append(Fraction(1))
                 else:
-                    wj = mp.mpf(w[j].numerator) / mp.mpf(w[j].denominator)
-                    kj = wj / (xB[j] - yB[j])
+                    kj = _from_exact(w[j]) / (xB[j] - yB[j])
                     if kj <= 0:
                         raise VerificationFailed("constructed kappa is not positive")
                     kappa.append(_mpf_to_fraction(kj))
@@ -403,18 +401,6 @@ def construct_counterexample(
                     tau=tau,
                 )
     raise VerificationFailed("counterexample residual exceeds tolerance at maximum precision")
-
-
-def _power_products(B: RationalMatrix, x):
-    out = []
-    for j in range(B.rows):
-        acc = mp.mpf(0)
-        for i in range(B.cols):
-            b = B.entries[j][i]
-            if b != 0:
-                acc += mp.mpf(b.numerator) / mp.mpf(b.denominator) * mp.log(x[i])
-        out.append(mp.exp(acc))
-    return out
 
 
 def _verify_counterexample(A, B, kappa, x_num, y_num, prec):
@@ -438,7 +424,7 @@ def _pivot_rows(A: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(rows, len(rows), A.cols)
 
 
-def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings):
+def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     """The exhaustive feasibility search over (mu, tau) pairs."""
     r, n = A.cols, B.cols
     T = tuple(sorted(set(T)))
@@ -452,7 +438,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings):
         tau = shared[0]
         y_hat = rational_point_with_sign(B if B.rows else None, n, tau)
         mu = SignVector.zero(r)
-        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, y_hat))
+        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, y_hat), prec)
         return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
@@ -463,7 +449,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings):
             tested += 1
             if result.feasible:
                 witness = split_pair_witness(result, r)
-                cx = construct_counterexample(A, B, S, mu, tau, witness)
+                cx = construct_counterexample(A, B, S, mu, tau, witness, prec)
                 return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
     certificate = {
         "pairs_tested": tested,
@@ -473,16 +459,22 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings):
     return Verdict(True, "sign_search", certificate=certificate, warnings=tuple(warnings))
 
 
-def _counterexample_via_search(A, B, T, S, method, certificate, warnings):
+def _counterexample_via_search(A, B, T, S, method, certificate, warnings, prec):
     """On a failed minors-route verdict, locate a feasible pair for the witness."""
-    verdict = _sign_search(A, B, T, S, warnings)
+    verdict = _sign_search(A, B, T, S, warnings, prec)
     if verdict.injective:
         raise AssertionError("minor route failed but sign search found no feasible pair")
     return Verdict(False, method, certificate=certificate, counterexample=verdict.counterexample, warnings=tuple(warnings))
 
 
-def check_injectivity(A: RationalMatrix, B: RationalMatrix, S) -> Verdict:
-    """Decide injectivity of the family with respect to S, dispatching on the shape of S."""
+def check_injectivity(
+    A: RationalMatrix, B: RationalMatrix, S, prec: int = DEFAULT_PRECISION_BITS
+) -> Verdict:
+    """Decide injectivity of the family with respect to S, dispatching on the shape of S.
+
+    prec is the working precision, in bits, at which a counterexample is
+    rendered and re-verified; the verdict itself is exact.
+    """
     m, r = A.rows, A.cols
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A")
@@ -492,11 +484,11 @@ def check_injectivity(A: RationalMatrix, B: RationalMatrix, S) -> Verdict:
         warnings.append("duplicate rows in B: the coset interpretation of S may weaken")
 
     if isinstance(S, FullSpace):
-        return _check_full_space(A, B, warnings)
+        return _check_full_space(A, B, warnings, prec)
     if isinstance(S, OrthantUnion):
         if any(len(t) != n for t in S.T):
             raise ShapeMismatch("orthant sign vectors must have length n")
-        return _sign_search(A, B, S.T, S, warnings)
+        return _sign_search(A, B, S.T, S, warnings, prec)
     if isinstance(S, Subspace):
         if S.ambient_dim != n:
             raise ShapeMismatch("subspace lives in the wrong ambient dimension")
@@ -505,12 +497,12 @@ def check_injectivity(A: RationalMatrix, B: RationalMatrix, S) -> Verdict:
             return Verdict(True, "minors", certificate={"empty_condition": True}, warnings=tuple(warnings))
         s = rank(A)
         if dim != s:
-            return _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings)
-        return _check_subspace_minors(A, B, S, s, warnings)
+            return _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings, prec)
+        return _check_subspace_minors(A, B, S, s, warnings, prec)
     raise TypeError(f"unknown subset specification {type(S).__name__}")
 
 
-def _check_full_space(A, B, warnings):
+def _check_full_space(A, B, warnings, prec):
     m, r = A.rows, A.cols
     n = B.cols
     S = FullSpace()
@@ -519,7 +511,7 @@ def _check_full_space(A, B, warnings):
         kv = kernel_basis(B).column(0)
         tau = sigma(kv)
         mu = SignVector.zero(r)
-        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, kv))
+        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, kv), prec)
         return Verdict(
             False,
             "full_space",
@@ -531,47 +523,40 @@ def _check_full_space(A, B, warnings):
         holds, ledger = check_minors(A, B, n)
         if holds:
             return Verdict(True, "minors", certificate=ledger, warnings=tuple(warnings))
-        shared = _shared_kernel_image_sign(A, B)
-        cx = _full_space_counterexample(A, B, shared, S)
+        cx = _full_space_counterexample(A, B, common_sign_vectors(A, B), S, prec)
         return Verdict(False, "minors", certificate=ledger, counterexample=cx, warnings=tuple(warnings))
-    shared = _shared_kernel_image_sign(A, B)
-    if shared is None:
+    shared = common_sign_vectors(A, B)
+    if not shared:
         return Verdict(
             True,
             "sign_search",
             certificate={"kernel_image_intersection": "trivial"},
             warnings=tuple(warnings),
         )
-    cx = _full_space_counterexample(A, B, shared, S)
+    cx = _full_space_counterexample(A, B, shared, S, prec)
     return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
 
 
-def _shared_kernel_image_sign(A, B):
-    """Lexicographically smallest nonzero sign vector in sigma(ker A) ∩ sigma(im B)."""
-    kerA = set(matroid_vectors(A))
-    imB = set(image_sign_vectors(B))
-    shared = sorted(v for v in kerA & imB if not v.is_zero())
-    return shared[0] if shared else None
-
-
-def _full_space_counterexample(A, B, rho, S):
-    if rho is None:
+def _full_space_counterexample(A, B, shared, S, prec):
+    """A counterexample from the smallest rho in sigma(ker A) ∩ sigma(im B)."""
+    if not shared:
         raise AssertionError("minors route failed but sign sets do not intersect")
+    rho = shared[0]
     # rho in sigma(im B): recover a y with sigma(By) = rho, then pair it with rho
-    from .feasibility import StrictSystem, solve_strict
-
     res = solve_strict(
         StrictSystem(nvars=B.cols, linear_sign_rows=B, linear_signs=rho)
     )
-    assert res.feasible
+    if not res.feasible:
+        raise VerificationFailed("no y with sigma(By) = rho, though rho is in sigma(im B)")
     tau = sigma(res.witness)
     pair = feasible_sign_pair(A, B, rho, tau)
-    assert pair.feasible
+    if not pair.feasible:
+        raise VerificationFailed("the sign pair (rho, sigma(y)) is infeasible")
     witness = split_pair_witness(pair, A.cols)
-    return construct_counterexample(A, B, S, rho, tau, witness)
+    return construct_counterexample(A, B, S, rho, tau, witness, prec)
 
 
-def _check_subspace_minors(A, B, S, s, warnings):
+def _check_subspace_minors(A, B, S, s, warnings, prec):
     C = S.image_presentation()
     Z = S.kernel_presentation()
     Aprime = _pivot_rows(A)
@@ -584,5 +569,5 @@ def _check_subspace_minors(A, B, S, s, warnings):
     if holds:
         return Verdict(True, "minors", certificate=certificate, warnings=tuple(warnings))
     return _counterexample_via_search(
-        A, B, S.nonzero_sign_vectors(), S, "minors", certificate, warnings
+        A, B, S.nonzero_sign_vectors(), S, "minors", certificate, warnings, prec
     )

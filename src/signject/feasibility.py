@@ -10,11 +10,11 @@ certificate is re-verified before it is returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import LengthMismatch, ShapeMismatch, VerificationFailed
 from .ratmat import RationalMatrix
 from .signs import SignVector, sigma
 
@@ -291,7 +291,8 @@ def cone_interior_membership(A: RationalMatrix, y) -> FeasibilityResult:
         return result
     t = result.witness[r]
     mu = tuple(v / t for v in result.witness[:r])
-    assert A.apply(mu) == y
+    if A.apply(mu) != y:
+        raise VerificationFailed("de-homogenized cone witness does not reproduce y")
     return FeasibilityResult(FEASIBLE, witness=mu)
 
 
@@ -301,5 +302,6 @@ def rational_point_with_sign(E: Optional[RationalMatrix], nvars: int, target: Si
     result = solve_strict(system)
     if not result.feasible:
         return None
-    assert sigma(result.witness) == target
+    if sigma(result.witness) != target:
+        raise VerificationFailed("witness does not carry the target sign vector")
     return result.witness

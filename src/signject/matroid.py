@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import RankDeficient, ShapeMismatch, TooLarge
-from .ratmat import IndexSet, RationalMatrix, det, kernel_basis, rank
-from .signs import SignVector, canonical_sort, compose, sigma, sign_of
+from .ratmat import RationalMatrix, column_basis, det, kernel_basis, rank
+from .signs import SignVector, canonical_sort, compose, sign_of
 
 GROUND_SET_GUARD = 16
 
@@ -116,14 +116,18 @@ def image_sign_vectors(C: RationalMatrix):
     """sigma(im(C)) for an n x k matrix C whose columns span the subspace."""
     if C.cols == 0 or C.is_zero():
         return (SignVector.zero(C.rows),)
-    k = rank(C)
-    if k < C.cols:
-        # re-present with an independent spanning set before enumerating
-        from .ratmat import rref
+    return covectors(column_basis(C).transpose())
 
-        R, pivots = rref(C.transpose())
-        C = RationalMatrix([R.entries[i] for i in range(k)], k, C.rows).transpose()
-    return covectors(C.transpose())
+
+def common_sign_vectors(M: RationalMatrix, C: RationalMatrix):
+    """The nonzero sign vectors of sigma(ker M) ∩ sigma(im C), canonically ordered.
+
+    Empty iff ker(M) and im(C) share no nonzero orthant: the sign condition
+    behind injectivity, at most one positive solution and unique special
+    steady states.
+    """
+    shared = set(matroid_vectors(M)) & set(image_sign_vectors(C))
+    return canonical_sort(v for v in shared if not v.is_zero())
 
 
 def same_oriented_matroid(A: RationalMatrix, Bt: RationalMatrix) -> bool:

@@ -1,24 +1,25 @@
-"""Independent slow oracles used only by the test suite.
+"""Independent slow oracles for the test suite and the ``oracle`` subcommands.
 
 Every routine here re-derives a quantity the engine computes, by a different
 algorithm (cofactor expansion, Fourier-Motzkin, brute-force orthant sweeps,
-Leibniz expansion, random sampling). Nothing in the package outside the tests
-may import this module; the dependency is strictly one-way.
+Leibniz expansion, random sampling). Outside the tests, only the CLI's
+``oracle`` subcommands import this module, when they run; the rest of the
+package never depends on it.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy
 from mpmath import mp
 
-from .errors import TooLarge
+from .errors import TooLarge, VerificationFailed
 from .feasibility import StrictSystem, solve_strict
 from .ratmat import RationalMatrix
-from .signs import SignVector, canonical_sort, sigma
+from .signs import SignVector, canonical_sort
 
 COFACTOR_LIMIT = 5
 FM_VARIABLE_LIMIT = 6
@@ -183,7 +184,8 @@ def naive_symbolic_gamma_det(Aprime: RationalMatrix, B: RationalMatrix, Z):
     for (ke, le), c in total.items():
         if c == 0:
             continue
-        assert all(e <= 1 for e in ke) and all(e <= 1 for e in le), "non-multilinear monomial survived"
+        if not (all(e <= 1 for e in ke) and all(e <= 1 for e in le)):
+            raise VerificationFailed("non-multilinear monomial survived")
         J = tuple(j for j, e in enumerate(ke) if e)
         I = tuple(i for i, e in enumerate(le) if e)
         terms[(I, J)] = c
@@ -237,7 +239,6 @@ def sampled_injectivity_search(
     residual sits below 1e-30 at 256-bit precision. Deterministic per seed.
     """
     from .engine import FullSpace, OrthantUnion, Subspace, evaluate_map
-    from .ratmat import rank as _rank
 
     rng = random.Random(seed)
     m, r = A.rows, A.cols

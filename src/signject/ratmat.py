@@ -11,9 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import NoComplement, NotGaleDual, ParseError, RankDeficient, ShapeMismatch, SizeMismatch
-
-Rational = Fraction
+from .errors import (NoComplement, NotGaleDual, ParseError, RankDeficient, ShapeMismatch,
+                     SizeMismatch, VerificationFailed)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -254,6 +253,18 @@ def rank(M: RationalMatrix) -> int:
     return len(rref(M)[1])
 
 
+def column_basis(C: RationalMatrix) -> RationalMatrix:
+    """Independent columns spanning im(C), from one rref of C^T.
+
+    C itself when its columns are independent, so that points drawn from the
+    basis are the caller's; otherwise the nonzero rows of rref(C^T), transposed.
+    """
+    R, pivots = rref(C.transpose())
+    if len(pivots) == C.cols:
+        return C
+    return RationalMatrix([R.entries[i] for i in range(len(pivots))], len(pivots), C.rows).transpose()
+
+
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     """Columns form a basis of ker(M); zero columns means trivial kernel."""
     R, pivots = rref(M)
@@ -343,8 +354,8 @@ def gale_dual(C: RationalMatrix) -> RationalMatrix:
     Z_raw = left_kernel.transpose()
     Z_rref, _ = rref(Z_raw)
     Z = RationalMatrix([_clear_row(row) for row in Z_rref.entries], Z_raw.rows, n)
-    assert (Z @ C).is_zero()
-    assert rank(Z) == n - s
+    if not (Z @ C).is_zero() or rank(Z) != n - s:
+        raise VerificationFailed("computed Gale dual does not have kernel im(C)")
     return Z
 
 

@@ -6,8 +6,6 @@ order on tuples matches the canonical - < 0 < + order.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import LengthMismatch, ParseError
 
 _CHAR_TO_SIGN = {"+": 1, "-": -1, "0": 0}
@@ -80,11 +78,6 @@ def compose(u: SignVector, v: SignVector) -> SignVector:
     if len(u) != len(v):
         raise LengthMismatch(f"lengths {len(u)} and {len(v)}")
     return SignVector(a if a != 0 else b for a, b in zip(u, v))
-
-
-def orthant_feasible_point(tau: SignVector):
-    """Canonical rational representative of the orthant sigma^{-1}(tau)."""
-    return tuple(Fraction(s) for s in tau)
 
 
 def canonical_sort(sign_vectors):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import jsonschema
 import pytest
 
 from signject.cli import main
+from signject.engine import FullSpace, check_injectivity
 from signject.ratmat import RationalMatrix
 
 M = RationalMatrix
@@ -160,3 +162,22 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "injectivity" in proc.stdout
+
+
+def test_precision_is_per_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
+    A, B = M([[1, -1]]), M([[1], [2]])
+    argv = ["injectivity", "--A", write(tmp_path, "A.json", A), "--B",
+            write(tmp_path, "B.json", B), "--full-space"]
+    _, low, _ = run_cli(["--precision", "128"] + argv, capsys)
+    assert "SIGNJECT_PRECISION_BITS" not in os.environ
+    # a later library call still renders its witness at the default 256 bits
+    x = check_injectivity(A, B, FullSpace()).counterexample.x
+    assert x == check_injectivity(A, B, FullSpace(), prec=256).counterexample.x
+    _, default, _ = run_cli(argv, capsys)
+    assert default["counterexample"]["x"] == list(x)
+    assert len(low["counterexample"]["x"][0]) < len(x[0])
+    # the CLI falls back to the environment variable when --precision is absent
+    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", "128")
+    _, from_env, _ = run_cli(argv, capsys)
+    assert from_env["counterexample"]["x"] == low["counterexample"]["x"]

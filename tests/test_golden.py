@@ -1,0 +1,159 @@
+"""Byte-for-byte golden outputs of the CLI over a fixed corpus.
+
+Each case writes its inputs to a temporary directory, runs
+``signject.cli.main`` in process with ``--output`` and compares the JSON bytes
+with ``tests/golden/<name>.json`` and the exit code with the one listed here.
+The corpus covers every subcommand and every injectivity route. After a
+deliberate change of output, re-record with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from signject.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _m(rows):
+    return {"rows": len(rows), "cols": len(rows[0]) if rows else 0,
+            "entries": [[str(e) for e in row] for row in rows]}
+
+
+I2 = _m([[1, 0], [0, 1]])
+BIRCH_A = _m([[1, 2], [3, 4]])
+BIRCH_B = _m([[1, 3], [2, 4]])
+ONE_MINUS_ONE = _m([[1, -1]])
+DIAGONAL = _m([[1], [1]])
+CONFIG = _m([[1, 0, 1], [0, 1, 1]])
+EX_B = _m([[1, 0], [0, 1], [1, 1]])
+EX_A = _m([[1, 0, 1], [0, 1, 1]])
+INTERCONVERSION = "k1: A -> B\nk2: B -> A\n"
+AUTOCATALYTIC = "k1: 0 -> X\nk2: X -> 0\nk3: 2 X -> 3 X\n"
+EDELSTEIN = ("k1: A -> 2 A\nk2: 2 A -> A\nk3: A + B -> C\nk4: C -> A + B\n"
+             "k5: C -> B\nk6: B -> C\n")
+PAIR = "k1: 0 -> A + B\nk2: A + B -> 0\n"
+
+# (name, argv with {file} placeholders, input files, expected exit code)
+CASES = [
+    ("inj_full_minors_hold",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": BIRCH_A, "B": BIRCH_B}, 0),
+    ("inj_full_minors_fail",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": ONE_MINUS_ONE, "B": _m([[1], [2]])}, 3),
+    ("inj_full_m_below_n",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": _m([[1, 1]]), "B": I2}, 3),
+    ("inj_full_m_above_n",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": _m([[1, 0], [0, 1], [1, 1]]), "B": DIAGONAL}, 0),
+    ("inj_full_rank_B_deficient",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": I2, "B": _m([[1, 1], [1, 1]])}, 3),
+    ("inj_image_minors_hold",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{C}"],
+     {"A": _m([[1, 1]]), "B": I2, "C": DIAGONAL}, 0),
+    ("inj_image_minors_fail",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{C}"],
+     {"A": ONE_MINUS_ONE, "B": I2, "C": DIAGONAL}, 3),
+    ("inj_image_dim_not_rank_hold",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{C}"],
+     {"A": _m([[1, -1, 0], [0, 1, -1]]), "B": _m([[1, 0], [0, 1], [1, 1]]),
+      "C": _m([[1], [-1]])}, 0),
+    ("inj_image_dim_not_rank_fail",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{C}"],
+     {"A": ONE_MINUS_ONE, "B": I2, "C": I2}, 3),
+    ("inj_image_dependent_columns",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{C}"],
+     {"A": ONE_MINUS_ONE, "B": I2, "C": _m([[1, 2], [1, 2]])}, 3),
+    ("inj_kernel",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-kernel", "{Z}"],
+     {"A": ONE_MINUS_ONE, "B": I2, "Z": ONE_MINUS_ONE}, 3),
+    ("inj_signs_hold",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-signs", "{T}"],
+     {"A": I2, "B": _m([[1, 1], [1, 1]]), "T": "++\n"}, 0),
+    ("inj_signs_fail",
+     ["injectivity", "--A", "{A}", "--B", "{B}", "--S-signs", "{T}"],
+     {"A": ONE_MINUS_ONE, "B": I2, "T": "+-\n++\n"}, 3),
+    ("minors",
+     ["minors", "--A", "{A}", "--B", "{B}", "--s", "1"],
+     {"A": _m([[1, -1], [1, -1]]), "B": I2}, 3),
+    ("gamma_det",
+     ["gamma-det", "--Aprime", "{Ap}", "--B", "{B}", "--Z", "{Z}"],
+     {"Ap": _m([[1]]), "B": _m([[1, 2]]), "Z": _m([[1, 1]])}, 3),
+    ("chirotope", ["chirotope", "--A", "{A}"], {"A": CONFIG}, 0),
+    ("cocircuits", ["cocircuits", "--A", "{A}"], {"A": CONFIG}, 0),
+    ("covectors", ["covectors", "--A", "{A}"], {"A": CONFIG}, 0),
+    ("descartes_bnd_fail",
+     ["descartes", "bnd", "--A", "{A}", "--B", "{B}"],
+     {"A": _m([[1, -1, 1]]), "B": _m([[1], [2], [5]])}, 3),
+    ("descartes_bnd_hold",
+     ["descartes", "bnd", "--A", "{A}", "--B", "{B}"],
+     {"A": EX_A, "B": EX_B}, 0),
+    ("descartes_ex_hold",
+     ["descartes", "ex", "--A", "{A}", "--B", "{B}"],
+     {"A": EX_A, "B": EX_B}, 0),
+    ("descartes_ex_fail",
+     ["descartes", "ex", "--A", "{A}", "--B", "{B}"],
+     {"A": _m([[1, -1, 1]]), "B": _m([[1], [2], [5]])}, 3),
+    ("descartes_cone",
+     ["descartes", "cone", "--A", "{A}", "--y", "1,1"], {"A": I2}, 0),
+    ("crn_preclude_precluded",
+     ["crn", "preclude", "{net}"], {"net": INTERCONVERSION}, 0),
+    ("crn_preclude_pair",
+     ["crn", "preclude", "{net}"], {"net": AUTOCATALYTIC}, 3),
+    ("crn_preclude_edelstein",
+     ["crn", "preclude", "{net}"], {"net": EDELSTEIN}, 3),
+    ("crn_special_unique",
+     ["crn", "special", "{net}", "--M", "{M}"],
+     {"net": INTERCONVERSION, "M": I2}, 0),
+    ("crn_special_witness",
+     ["crn", "special", "{net}", "--M", "{M}"],
+     {"net": PAIR, "M": ONE_MINUS_ONE}, 3),
+    ("oracle_sign_set",
+     ["oracle", "sign-set", "--M", "{M}", "--mode", "image"], {"M": CONFIG}, 0),
+    ("oracle_gamma",
+     ["oracle", "gamma", "--Aprime", "{Ap}", "--B", "{B}", "--Z", "{Z}"],
+     {"Ap": _m([[1]]), "B": _m([[1, 2]]), "Z": _m([[1, 1]])}, 0),
+    ("oracle_sample",
+     ["--seed", "7", "oracle", "sample", "--A", "{A}", "--B", "{B}", "--samples", "40"],
+     {"A": ONE_MINUS_ONE, "B": _m([[1], [2]])}, 3),
+    ("inj_full_precision_128",
+     ["--precision", "128", "injectivity", "--A", "{A}", "--B", "{B}", "--full-space"],
+     {"A": ONE_MINUS_ONE, "B": _m([[1], [2]])}, 3),
+]
+
+
+def run_case(argv, files, workdir: Path):
+    paths = {}
+    for key, content in files.items():
+        path = workdir / f"{key}.{'json' if isinstance(content, dict) else 'txt'}"
+        path.write_text(json.dumps(content) if isinstance(content, dict) else content)
+        paths[key] = str(path)
+    out = workdir / "out.json"
+    code = main(["--output", str(out)] + [a.format(**paths) for a in argv])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, files, expected_code", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv, files, expected_code, tmp_path, capsys):
+    code, data = run_case(argv, files, tmp_path)
+    capsys.readouterr()
+    assert code == expected_code
+    assert data == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv, files, expected_code in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, data = run_case(argv, files, Path(tmp))
+        if code != expected_code:
+            sys.exit(f"{name}: exit code {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.json").write_bytes(data)

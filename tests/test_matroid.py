@@ -8,6 +8,7 @@ from signject.errors import RankDeficient, TooLarge
 from signject.matroid import (
     chirotope,
     cocircuits,
+    common_sign_vectors,
     covectors,
     image_sign_vectors,
     matroid_vectors,
@@ -88,7 +89,13 @@ def test_covectors_match_brute_force(rnd):
     if rank(A) < n:
         return
     assert covectors(A) == brute_force_sign_set(A.transpose(), "image")
-    assert matroid_vectors(A) == brute_force_sign_set(A, "kernel")
+    kernel = brute_force_sign_set(A, "kernel")
+    assert matroid_vectors(A) == kernel
+    # sigma(ker A) ∩ sigma(im C) for a second, possibly dependent, configuration C
+    k = rnd.randint(1, 2)
+    C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(r)])
+    shared = set(kernel) & set(brute_force_sign_set(C, "image"))
+    assert common_sign_vectors(A, C) == tuple(sorted(v for v in shared if not v.is_zero()))
 
 
 @settings(max_examples=40, deadline=None)
