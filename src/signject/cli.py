@@ -4,7 +4,7 @@ Every subcommand reads the shared matrix JSON / sign-string / reaction DSL
 formats, writes a schema-versioned JSON verdict on stdout (or --output) and a
 one-line human summary on stderr. Exit codes: 0 the property holds, 3 it
 fails (with certificate or witness in the output), 2 usage or input error,
-4 an instance-size guard tripped.
+4 an instance-size guard tripped, 5 an internal consistency check failed.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .engine import (
     det_condition,
     gamma_det_poly,
 )
-from .errors import ParseError, SignjectError, TooLarge
+from .errors import InternalError, ParseError, SignjectError, TooLarge
 from .matroid import chirotope, cocircuits, covectors
 from .ratmat import RationalMatrix, parse_rational
 from .signs import SignVector
@@ -36,6 +36,7 @@ EXIT_HOLDS = 0
 EXIT_USAGE = 2
 EXIT_FAILS = 3
 EXIT_TOO_LARGE = 4
+EXIT_INTERNAL = 5
 
 
 def _load_matrix(path: str) -> RationalMatrix:
@@ -341,6 +342,9 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ParseError, SignjectError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,10 @@ from .ratmat import RationalMatrix, parse_rational
 from .signs import SignVector
 
 NUMERIC_DIGITS = 50
+# LPs the steady-state grid search may solve before it gives up. The full grid
+# of every network in the test and benchmark corpora but the dual futile cycle
+# is at most 1296 LPs, so none of them reaches it.
+STEADY_STATE_LP_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -210,14 +214,19 @@ def preclude_multistationarity(
             warnings=net.warnings,
         )
     pair = None
+    exhausted = False
     integral = all(v.denominator == 1 for row in V.entries for v in row)
     if integral:
-        pair = _steady_state_pair(N, V, S)
-    note = (
-        "injectivity fails and an explicit pair of positive steady states in one compatibility class was found"
-        if pair is not None
-        else "injectivity fails for some kappa; this does not by itself imply multistationarity, and no steady-state pair was found at desk scale"
-    )
+        pair, exhausted = _steady_state_pair(N, V, S)
+    if pair is not None:
+        note = "injectivity fails and an explicit pair of positive steady states in one compatibility class was found"
+    elif exhausted:
+        note = (
+            "injectivity fails for some kappa; this does not by itself imply multistationarity, and the "
+            f"steady-state search was exhausted after {STEADY_STATE_LP_BUDGET} LPs without finding a pair"
+        )
+    else:
+        note = "injectivity fails for some kappa; this does not by itself imply multistationarity, and no steady-state pair was found at desk scale"
     return PreclusionVerdict(
         precluded=False,
         injectivity=verdict,
@@ -232,7 +241,8 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
 
     x ranges over a small positive grid, y = x + z over integer combinations of
     a basis of im(N). Both steady-state conditions are linear in kappa, so each
-    candidate reduces to one exact feasibility question.
+    candidate reduces to one exact feasibility question. Returns (pair or None,
+    whether the search stopped at STEADY_STATE_LP_BUDGET LPs).
     """
     n, r = N.rows, N.cols
     basis = S.image_presentation()
@@ -243,6 +253,7 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
         else [Fraction(1, 2), Fraction(1), Fraction(2)]
     )
     coeff_range = range(-3, 4) if s <= 2 else range(-1, 2)
+    lps = 0
     for x in product(x_values, repeat=n):
         for coeffs in product(coeff_range, repeat=s):
             if all(c == 0 for c in coeffs):
@@ -251,6 +262,9 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
             y = tuple(a + b for a, b in zip(x, z))
             if any(v <= 0 for v in y):
                 continue
+            if lps == STEADY_STATE_LP_BUDGET:
+                return None, True
+            lps += 1
             rows = []
             for point in (x, y):
                 mono = [_monomial(point, V.entries[j]) for j in range(r)]
@@ -276,8 +290,8 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
                     "x": [str(v) for v in x],
                     "y": [str(v) for v in y],
                     "residual": "0 (exact rational steady-state equations)",
-                }
-    return None
+                }, False
+    return None, False
 
 
 def _monomial(x, exps):

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .engine import check_minors
-from .errors import RankDeficient, ShapeMismatch, TooLarge
+from .errors import InternalError, RankDeficient, ShapeMismatch, TooLarge
 from .feasibility import cone_interior_membership, open_halfspace_contains_rows
 from .matroid import GROUND_SET_GUARD, common_sign_vectors
 from .ratmat import RationalMatrix, det, rank
@@ -31,7 +31,7 @@ class DescartesReport:
 
     def __post_init__(self):
         if self.ex_holds and not self.bnd_holds:
-            raise AssertionError("(ex) holds but (bnd) does not; internal bug")
+            raise InternalError("(ex) holds but (bnd) does not; internal bug")
 
     def to_json_dict(self):
         return {

@@ -17,7 +17,8 @@ from typing import Optional
 import mpmath
 from mpmath import libmp, mp
 
-from .errors import LengthMismatch, NonPositiveInput, ShapeMismatch, VerificationFailed
+from .errors import (InternalError, LengthMismatch, NonPositiveInput, ShapeMismatch,
+                     VerificationFailed)
 from .feasibility import (
     StrictSystem,
     feasible_sign_pair,
@@ -463,7 +464,7 @@ def _counterexample_via_search(A, B, T, S, method, certificate, warnings, prec):
     """On a failed minors-route verdict, locate a feasible pair for the witness."""
     verdict = _sign_search(A, B, T, S, warnings, prec)
     if verdict.injective:
-        raise AssertionError("minor route failed but sign search found no feasible pair")
+        raise InternalError("minor route failed but sign search found no feasible pair")
     return Verdict(False, method, certificate=certificate, counterexample=verdict.counterexample, warnings=tuple(warnings))
 
 
@@ -540,7 +541,7 @@ def _check_full_space(A, B, warnings, prec):
 def _full_space_counterexample(A, B, shared, S, prec):
     """A counterexample from the smallest rho in sigma(ker A) ∩ sigma(im B)."""
     if not shared:
-        raise AssertionError("minors route failed but sign sets do not intersect")
+        raise InternalError("minors route failed but sign sets do not intersect")
     rho = shared[0]
     # rho in sigma(im B): recover a y with sigma(By) = rho, then pair it with rho
     res = solve_strict(
@@ -564,7 +565,7 @@ def _check_subspace_minors(A, B, S, s, warnings, prec):
     holds, ledger = check_minors(Atilde, B, s)
     poly = gamma_det_poly(Aprime, B, Z if Z.rows else None)
     if det_condition(poly) != holds:
-        raise AssertionError("the (min) and (det) routes disagree; internal bug")
+        raise InternalError("the (min) and (det) routes disagree; internal bug")
     certificate = {"minors": ledger, "det_poly_sign_count": len(poly.signs())}
     if holds:
         return Verdict(True, "minors", certificate=certificate, warnings=tuple(warnings))

@@ -33,7 +33,11 @@ class NonPositiveInput(SignjectError):
     pass
 
 
-class VerificationFailed(SignjectError):
+class InternalError(SignjectError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
+class VerificationFailed(InternalError):
     """A constructed witness failed its high-precision re-verification."""
 
 

@@ -3,18 +3,21 @@
 Strict inequalities are decided through the epsilon-relaxation: since every
 system here is homogeneous, its solution set is a cone, so feasibility of
 "> 0" constraints is equivalent to feasibility with ">= eps" for any positive
-eps; we fix eps = 1. The relaxed system is solved by a phase-1 simplex over
-exact rationals with Bland's rule, so termination is guaranteed and both
-witnesses and Farkas certificates are exact. Every witness and every
-certificate is re-verified before it is returned.
+eps; we fix eps = 1. The relaxed system is solved by a phase-1 simplex with
+Bland's rule, so termination is guaranteed. The simplex works on integer
+rows, each a positive multiple of its rational row, so it takes the pivots of
+the rational simplex and both witnesses and Farkas certificates are exact.
+Every witness and every certificate is re-verified over Fraction before it is
+returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import LengthMismatch, ShapeMismatch, VerificationFailed
+from .errors import InternalError, LengthMismatch, ShapeMismatch, VerificationFailed
 from .ratmat import RationalMatrix
 from .signs import SignVector, sigma
 
@@ -84,43 +87,53 @@ def _simplex_feasibility(nvars, eq_rows, ineq_rows):
     Returns (witness, None) or (None, (lam_eq, lam_ineq)) where the Farkas
     multipliers satisfy lam_ineq >= 0, sum lam_i row_i = 0 and
     sum lam_i rhs_i > 0.
+
+    Each tableau row is held as integers: a positive multiple of the rational
+    row it stands for, cleared of denominators when it is built, pivoted as
+    p*row - f*row_leave and divided by the gcd of its entries. Positive
+    scaling keeps the sign of every reduced cost and every ratio, so Bland's
+    rule takes the same pivots as over the rationals. The objective row
+    carries its own denominator, from which the Farkas multipliers are read.
     """
-    all_rows = [(coeffs, rhs, "eq") for coeffs, rhs in eq_rows]
-    all_rows += [(coeffs, rhs, "ineq") for coeffs, rhs in ineq_rows]
+    all_rows = [(coeffs, rhs, False) for coeffs, rhs in eq_rows]
+    all_rows += [(coeffs, rhs, True) for coeffs, rhs in ineq_rows]
     m = len(all_rows)
-    n_ineq = len(ineq_rows)
-    n_cols = 2 * nvars + n_ineq + m  # z+, z-, slacks, artificials
-    zero = Fraction(0)
+    art_start = 2 * nvars + len(ineq_rows)
+    n_cols = art_start + m  # z+, z-, surpluses, artificials
 
     tableau = []
     flips = []
-    ineq_counter = 0
-    for i, (coeffs, rhs, kind) in enumerate(all_rows):
-        row = [zero] * (n_cols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-            row[nvars + j] = -Fraction(c)
-        if kind == "ineq":
-            row[2 * nvars + ineq_counter] = Fraction(-1)  # surplus
-            ineq_counter += 1
-        row[-1] = Fraction(rhs)
+    scales = []
+    surplus = 2 * nvars
+    for i, (coeffs, rhs, is_ineq) in enumerate(all_rows):
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        row = [0] * (n_cols + 1)
+        row[:nvars] = ints
+        row[nvars:2 * nvars] = [-v for v in ints]
+        if is_ineq:
+            row[surplus] = -scale
+            surplus += 1
+        row[-1] = rhs.numerator * (scale // rhs.denominator)
         flip = 1
         if row[-1] < 0:
             row = [-e for e in row]
             flip = -1
-        row[2 * nvars + n_ineq + i] = Fraction(1)  # artificial (after flip)
+        row[art_start + i] = scale  # artificial (after flip)
         flips.append(flip)
+        scales.append(scale)
         tableau.append(row)
 
-    art_start = 2 * nvars + n_ineq
     basis = [art_start + i for i in range(m)]
-    # reduced-cost row for min(sum of artificials); artificials are basic
-    obj = [zero] * (n_cols + 1)
-    for j in range(n_cols):
-        col_sum = sum((tableau[i][j] for i in range(m)), zero)
-        cost = Fraction(1) if j >= art_start else zero
-        obj[j] = cost - col_sum
-    obj[-1] = -sum((tableau[i][-1] for i in range(m)), zero)
+    # reduced-cost row for min(sum of artificials), artificials basic: the
+    # costs minus the rational rows, as integers over obj_den
+    obj_den = lcm(*scales)
+    obj = [0] * (n_cols + 1)
+    for row, scale in zip(tableau, scales):
+        f = obj_den // scale
+        obj = [a - f * b for a, b in zip(obj, row)]
+    for j in range(art_start, n_cols):
+        obj[j] += obj_den
 
     while True:
         entering = next(
@@ -128,38 +141,45 @@ def _simplex_feasibility(nvars, eq_rows, ineq_rows):
         )  # artificials never re-enter
         if entering is None:
             break
-        best = None
+        # least ratio rhs/coef over coef > 0, ties to the smaller basis index
+        leave = None
         for i in range(m):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            raise AssertionError("phase-1 objective unbounded below; cannot happen")
-        leave = best[1]
-        pivot = tableau[leave][entering]
-        tableau[leave] = [e / pivot for e in tableau[leave]]
+                if leave is None:
+                    leave, num, den = i, tableau[i][-1], coef
+                    continue
+                lhs, rhs = tableau[i][-1] * den, num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tableau[i][-1], coef
+        if leave is None:
+            raise InternalError("phase-1 objective unbounded below; cannot happen")
+        pivot_row = tableau[leave]
+        p = pivot_row[entering]
         for i in range(m):
-            if i != leave and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+            f = tableau[i][entering]
+            if i != leave and f != 0:
+                row = [p * a - f * b for a, b in zip(tableau[i], pivot_row)]
+                g = gcd(*row)
+                tableau[i] = [e // g for e in row] if g > 1 else row
+        f = obj[entering]
+        obj = [p * a - f * b for a, b in zip(obj, pivot_row)]
+        obj_den *= p
+        g = gcd(obj_den, *obj)
+        if g > 1:
+            obj = [e // g for e in obj]
+            obj_den //= g
         basis[leave] = entering
 
-    optimum = -obj[-1]
-    if optimum == 0:
-        values = [zero] * n_cols
+    if obj[-1] == 0:
+        values = [Fraction(0)] * n_cols
         for i, b in enumerate(basis):
-            values[b] = tableau[i][-1]
+            values[b] = Fraction(tableau[i][-1], tableau[i][b])
         witness = tuple(values[j] - values[nvars + j] for j in range(nvars))
         return witness, None
 
     # infeasible: artificial reduced costs encode the dual multipliers
-    y = [Fraction(1) - obj[art_start + i] for i in range(m)]
-    lam = [flips[i] * y[i] for i in range(m)]
+    lam = [flips[i] * (1 - Fraction(obj[art_start + i], obj_den)) for i in range(m)]
     lam_eq = tuple(lam[: len(eq_rows)])
     lam_ineq = tuple(lam[len(eq_rows):])
     _check_certificate(nvars, eq_rows, ineq_rows, lam_eq, lam_ineq)
@@ -168,7 +188,7 @@ def _simplex_feasibility(nvars, eq_rows, ineq_rows):
 
 def _check_certificate(nvars, eq_rows, ineq_rows, lam_eq, lam_ineq):
     if any(l < 0 for l in lam_ineq):
-        raise AssertionError("Farkas multiplier for an inequality is negative")
+        raise InternalError("Farkas multiplier for an inequality is negative")
     combo = [Fraction(0)] * nvars
     total = Fraction(0)
     for (coeffs, rhs), l in list(zip(eq_rows, lam_eq)) + list(zip(ineq_rows, lam_ineq)):
@@ -176,7 +196,7 @@ def _check_certificate(nvars, eq_rows, ineq_rows, lam_eq, lam_ineq):
             combo[j] += l * Fraction(c)
         total += l * Fraction(rhs)
     if any(c != 0 for c in combo) or total <= 0:
-        raise AssertionError("Farkas certificate does not prove infeasibility")
+        raise InternalError("Farkas certificate does not prove infeasibility")
 
 
 # -- strict systems -----------------------------------------------------------
@@ -220,7 +240,7 @@ def _check_strict_witness(rows, witness):
         value = sum((Fraction(c) * w for c, w in zip(coeffs, witness)), Fraction(0))
         ok = (rel == "=0" and value == 0) or (rel == ">0" and value > 0) or (rel == "<0" and value < 0)
         if not ok:
-            raise AssertionError("witness violates a strict constraint; solver bug")
+            raise InternalError("witness violates a strict constraint; solver bug")
 
 
 # -- named queries ------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact rational matrices: ranks, kernels, minors, Gale duals, permutation signs.
 
-All arithmetic is over :class:`fractions.Fraction`; nothing here ever rounds.
-Matrices are immutable once constructed.
+Entries are :class:`fractions.Fraction`; nothing here ever rounds. ``det``
+clears each row's denominators and eliminates over the integers; the other
+routines work over Fraction. Matrices are immutable once constructed.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (NoComplement, NotGaleDual, ParseError, RankDeficient, ShapeMismatch,
                      SizeMismatch, VerificationFailed)
@@ -281,28 +282,39 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
 
 
 def det(M: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant via Bareiss fraction-free elimination over the integers.
+
+    Each row is first cleared of its denominators; the integer determinant is
+    then divided by the product of the row scales.
+    """
     if M.rows != M.cols:
         raise SizeMismatch(f"determinant of {M.rows}x{M.cols} matrix")
-    n = M.rows
-    if n == 0:
+    if M.rows == 0:
         return Fraction(1)
-    grid = [list(row) for row in M.entries]
+    scale = 1
+    grid = []
+    for row in M.entries:
+        s = lcm(*(e.denominator for e in row))
+        scale *= s
+        grid.append([e.numerator * (s // e.denominator) for e in row])
     sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if grid[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if grid[i][k] != 0), None)
+    prev = 1
+    # each step eliminates the first column and drops the pivot row
+    while len(grid) > 1:
+        if grid[0][0] == 0:
+            swap = next((i for i in range(1, len(grid)) if grid[i][0] != 0), None)
             if swap is None:
                 return Fraction(0)
-            grid[k], grid[swap] = grid[swap], grid[k]
+            grid[0], grid[swap] = grid[swap], grid[0]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                grid[i][j] = (grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]) / prev
-            grid[i][k] = Fraction(0)
-        prev = grid[k][k]
-    return sign * grid[n - 1][n - 1]
+        pivot_row = grid[0]
+        p = pivot_row[0]
+        grid = [
+            [(p * a - row[0] * b) // prev for a, b in zip(row[1:], pivot_row[1:])]
+            for row in grid[1:]
+        ]
+        prev = p
+    return Fraction(sign * grid[0][0], scale)
 
 
 def minor(M: RationalMatrix, I: IndexSet, J: IndexSet) -> Fraction:

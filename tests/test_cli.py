@@ -142,6 +142,21 @@ def test_size_guard_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import signject.engine as engine
+
+    holds = engine.det_condition
+    monkeypatch.setattr(engine, "det_condition", lambda poly: not holds(poly))
+    a = write(tmp_path, "A.json", M([[1, 1]]))
+    b = write(tmp_path, "B.json", M.identity(2))
+    c = write(tmp_path, "C.json", M([[1], [1]]))
+    code, payload, err = run_cli(["injectivity", "--A", a, "--B", b, "--S-image", c], capsys)
+    assert code == 5
+    assert payload is None
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     a = write(tmp_path, "A.json", M([[1, -1]]))
     b = write(tmp_path, "B.json", M.identity(2))

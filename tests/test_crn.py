@@ -159,3 +159,27 @@ def test_multistationarity_witness_none():
     Mm = M([[1, -1]])
     assert multistationarity_witness(Mm, Subspace(C=M([[1], [-1]]))) is None
     assert multistationarity_witness(Mm, Subspace(Z=M.identity(2))) is None
+
+
+def test_steady_state_search_budget(monkeypatch):
+    import signject.crn as crn
+
+    net = parse_network(
+        "k1: A -> 2 A\nk2: 2 A -> A\nk3: A + B -> C\nk4: C -> A + B\nk5: C -> B\nk6: B -> C\n"
+    )
+    lps = []  # in crn, only the steady-state grid calls solve_strict
+    solve = crn.solve_strict
+    monkeypatch.setattr(crn, "solve_strict", lambda system: lps.append(1) or solve(system))
+    found = preclude_multistationarity(net)
+    assert found.steady_state_pair is not None
+    needed = len(lps)  # the pair turns up at the last of these LPs
+    assert 1 < needed <= crn.STEADY_STATE_LP_BUDGET
+    lps.clear()
+    monkeypatch.setattr(crn, "STEADY_STATE_LP_BUDGET", needed)
+    assert preclude_multistationarity(net).to_json_dict() == found.to_json_dict()
+    lps.clear()
+    monkeypatch.setattr(crn, "STEADY_STATE_LP_BUDGET", needed - 1)
+    cut = preclude_multistationarity(net)
+    assert cut.steady_state_pair is None and not cut.precluded
+    assert len(lps) == needed - 1
+    assert f"exhausted after {needed - 1} LPs" in cut.note

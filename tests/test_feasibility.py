@@ -56,17 +56,46 @@ def test_eps_independence():
         assert solve_strict(sys, eps=eps).feasible
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2), st.randoms(use_true_random=False))
-def test_matches_fourier_motzkin(nvars, m, rnd):
-    E = (
-        M([[Fraction(rnd.randint(-2, 2)) for _ in range(nvars)] for _ in range(m)])
-        if m
-        else None
+def _check_farkas(sys, certificate):
+    """Independently check that the multipliers refute the eps = 1 relaxation."""
+    rows = sys.constraint_rows()
+    assert len(certificate) == len(rows)
+    combo = [Fraction(0)] * sys.nvars
+    bound = Fraction(0)
+    for (coeffs, rel), lam in zip(rows, certificate):
+        if rel != "=0":
+            assert lam >= 0
+            bound += lam
+        side = -1 if rel == "<0" else 1
+        for j, c in enumerate(coeffs):
+            combo[j] += side * lam * c
+    assert all(c == 0 for c in combo)
+    assert bound > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_matches_fourier_motzkin(nvars, m, k, rnd):
+    def entry():
+        return Fraction(rnd.randint(-4, 4), rnd.randint(1, 7))
+
+    def signs(length):
+        return SignVector([rnd.choice([-1, 0, 1]) for _ in range(length)])
+
+    E = M([[entry() for _ in range(nvars)] for _ in range(m)]) if m else None
+    G = M([[entry() for _ in range(nvars)] for _ in range(k)]) if k else None
+    sys = StrictSystem(
+        nvars=nvars,
+        equalities=E,
+        comp_signs=signs(nvars),
+        free_mask=[rnd.random() < 0.3 for _ in range(nvars)],
+        linear_sign_rows=G,
+        linear_signs=signs(k) if k else None,
     )
-    target = SignVector([rnd.choice([-1, 0, 1]) for _ in range(nvars)])
-    sys = StrictSystem(nvars=nvars, equalities=E, comp_signs=target)
-    assert solve_strict(sys).feasible == fm_strict_feasible(sys)
+    res = solve_strict(sys)
+    assert res.feasible == fm_strict_feasible(sys)
+    if not res.feasible:
+        _check_farkas(sys, res.certificate)
 
 
 @settings(max_examples=40, deadline=None)

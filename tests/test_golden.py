@@ -3,17 +3,31 @@
 Each case writes its inputs to a temporary directory, runs
 ``signject.cli.main`` in process with ``--output`` and compares the JSON bytes
 with ``tests/golden/<name>.json`` and the exit code with the one listed here.
-The corpus covers every subcommand and every injectivity route. After a
-deliberate change of output, re-record with
+The corpus covers every subcommand and every injectivity route.
+
+``route_pool.json`` pins, by exit code and sha256 of the JSON bytes, the 400
+CLI calls of acceptance criterion 3's route pool (``--S-image`` and
+``--S-signs`` for each of its 200 instances) and the ``SearchReport`` of the
+sampling oracle on pool instances 4 and 9 at 200 samples, whose collisions
+come from exact LP witnesses.
+
+After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
+import hashlib
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from signject.cli import main
+from signject.engine import Subspace
+from signject.oracle import sampled_injectivity_search
+from signject.ratmat import RationalMatrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -128,15 +142,66 @@ CASES = [
 ]
 
 
-def run_case(argv, files, workdir: Path):
+def case_argv(argv, files, workdir: Path):
+    """Write the input files; return the CLI arguments, with --output, and its path."""
     paths = {}
     for key, content in files.items():
         path = workdir / f"{key}.{'json' if isinstance(content, dict) else 'txt'}"
         path.write_text(json.dumps(content) if isinstance(content, dict) else content)
         paths[key] = str(path)
     out = workdir / "out.json"
-    code = main(["--output", str(out)] + [a.format(**paths) for a in argv])
+    return ["--output", str(out)] + [a.format(**paths) for a in argv], out
+
+
+def run_case(argv, files, workdir: Path):
+    args, out = case_argv(argv, files, workdir)
+    code = main(args)
     return code, out.read_bytes()
+
+
+ROUTE_SEED = 20240824  # the pool of acceptance criteria 3-5
+ORACLE_CASES = (4, 9)
+ORACLE_SAMPLES = 200
+
+
+def route_pool():
+    """The 200 (A, B) integer pairs of acceptance criterion 3, in its draw order."""
+    rnd = random.Random(ROUTE_SEED)
+    out = []
+    while len(out) < 200:
+        n = rnd.randint(1, 4)
+        r = rnd.randint(1, 4)
+        A = [[rnd.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        B = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if any(v for row in A for v in row):
+            out.append((A, B))
+    return out
+
+
+def route_pool_outputs(workdir: Path):
+    """{case: [exit code, sha256 of the JSON bytes]} over the route pool."""
+    pool = route_pool()
+    out = {}
+    for i, (A, B) in enumerate(pool):
+        T = Subspace(C=RationalMatrix(A)).nonzero_sign_vectors()
+        files = {"A": _m(A), "B": _m(B), "T": "".join(f"{t}\n" for t in T)}
+        for kind, flag in (("image", ["--S-image", "{A}"]), ("signs", ["--S-signs", "{T}"])):
+            code, data = run_case(["injectivity", "--A", "{A}", "--B", "{B}"] + flag, files, workdir)
+            out[f"route/{i}/{kind}"] = [code, hashlib.sha256(data).hexdigest()]
+    for i in ORACLE_CASES:
+        A, B = RationalMatrix(pool[i][0]), RationalMatrix(pool[i][1])
+        rep = sampled_injectivity_search(A, B, S=Subspace(C=A), samples=ORACLE_SAMPLES,
+                                         seed=ROUTE_SEED + i)
+        payload = {
+            "samples": rep.samples,
+            "seed": rep.seed,
+            "candidates": rep.candidates,
+            "violations": [[[str(v) for v in part] for part in violation]
+                           for violation in rep.violations],
+        }
+        data = (json.dumps(payload) + "\n").encode()
+        out[f"oracle/{i}"] = [3 if rep.violations else 0, hashlib.sha256(data).hexdigest()]
+    return out
 
 
 @pytest.mark.parametrize("name, argv, files, expected_code", CASES, ids=[c[0] for c in CASES])
@@ -145,6 +210,28 @@ def test_golden_output(name, argv, files, expected_code, tmp_path, capsys):
     capsys.readouterr()
     assert code == expected_code
     assert data == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["inj_image_minors_fail", "crn_preclude_edelstein"])
+def test_golden_output_under_optimize(name, tmp_path):
+    """The always-on checks are not asserts: python -O gives the same bytes."""
+    _, argv, files, expected_code = next(case for case in CASES if case[0] == name)
+    args, out = case_argv(argv, files, tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "signject.cli"] + args,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == expected_code, proc.stderr
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_route_pool_golden(tmp_path, capsys):
+    got = route_pool_outputs(tmp_path)
+    capsys.readouterr()
+    expected = json.loads((GOLDEN / "route_pool.json").read_text())
+    assert list(got) == list(expected)
+    differing = [key for key in expected if got[key] != expected[key]]
+    assert not differing, f"{len(differing)} route-pool outputs differ, first {differing[:5]}"
 
 
 if __name__ == "__main__":
@@ -157,3 +244,6 @@ if __name__ == "__main__":
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
         (GOLDEN / f"{name}.json").write_bytes(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = route_pool_outputs(Path(tmp))
+    (GOLDEN / "route_pool.json").write_text(json.dumps(outputs, indent=1) + "\n")
