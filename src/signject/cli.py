@@ -4,7 +4,8 @@ Every subcommand reads the shared matrix JSON / sign-string / reaction DSL
 formats, writes a schema-versioned JSON verdict on stdout (or --output) and a
 one-line human summary on stderr. Exit codes: 0 the property holds, 3 it
 fails (with certificate or witness in the output), 2 usage or input error,
-4 an instance-size guard tripped, 5 an internal consistency check failed.
+4 an instance-size guard or a search budget tripped, 5 an internal consistency
+check failed.
 """
 from __future__ import annotations
 

@@ -17,8 +17,8 @@ from typing import Optional
 import mpmath
 from mpmath import libmp, mp
 
-from .errors import (InternalError, LengthMismatch, NonPositiveInput, ShapeMismatch,
-                     VerificationFailed)
+from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
+                     ShapeMismatch, VerificationFailed)
 from .feasibility import (
     StrictSystem,
     feasible_sign_pair,
@@ -42,6 +42,8 @@ from .signs import SignVector, sigma, sign_of
 
 DEFAULT_PRECISION_BITS = 256
 RESIDUAL_TOLERANCE = mp.mpf("1e-30")
+# LPs the (mu, tau) sign search may solve before it gives up
+SIGN_SEARCH_LP_BUDGET = 5000
 
 
 # -- subset specifications ----------------------------------------------------
@@ -148,14 +150,17 @@ def gamma_det_poly(
     terms = {}
     full_s = list(range(s))
     full_ns = list(range(n - s))
+    # det(A'_{[s],J}) does not depend on I; a J with a zero minor adds no term
+    a_minors = [(J, m) for J in combinations(range(r), s)
+                if (m := det(Aprime.submatrix(full_s, J))) != 0]
     for I in combinations(range(n), s):
         Ic = [i for i in range(n) if i not in set(I)]
         tau = permutation_sign_tau(IndexSet(I, n), n)
         z_minor = Fraction(1) if Z is None else det(Z.submatrix(full_ns, Ic))
         if z_minor == 0:
             continue
-        for J in combinations(range(r), s):
-            coeff = tau * z_minor * det(Aprime.submatrix(full_s, J)) * det(B.submatrix(J, I))
+        for J, a_minor in a_minors:
+            coeff = tau * z_minor * a_minor * det(B.submatrix(J, I))
             if coeff != 0:
                 terms[(I, J)] = coeff
     return SymbolicDetPoly(s, terms)
@@ -426,7 +431,11 @@ def _pivot_rows(A: RationalMatrix) -> RationalMatrix:
 
 
 def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
-    """The exhaustive feasibility search over (mu, tau) pairs."""
+    """The exhaustive feasibility search over (mu, tau) pairs.
+
+    Raises SearchBudgetExceeded instead of solving more than
+    SIGN_SEARCH_LP_BUDGET pair LPs.
+    """
     r, n = A.cols, B.cols
     T = tuple(sorted(set(T)))
     if not T:
@@ -446,6 +455,8 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     tested = 0
     for mu in mus:
         for tau in T:
+            if tested == SIGN_SEARCH_LP_BUDGET:
+                raise SearchBudgetExceeded(f"the (mu, tau) sign search stopped after {tested} LPs")
             result = feasible_sign_pair(A, B, mu, tau)
             tested += 1
             if result.feasible:

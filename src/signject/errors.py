@@ -45,6 +45,10 @@ class TooLarge(SignjectError):
     """Instance exceeds the desk-scale guard for an exponential enumeration."""
 
 
+class SearchBudgetExceeded(TooLarge):
+    """A bounded search reached its budget before it could decide."""
+
+
 class ParseError(SignjectError):
     def __init__(self, message, line=None, column=None):
         loc = ""

@@ -1,17 +1,20 @@
 """Chirotopes, cocircuits, and covector enumeration for rational vector configurations.
 
 A configuration is an n x r rational matrix of rank n whose columns are the
-ground-set vectors. Covectors are generated as the composition closure of the
-cocircuits; at desk scale (r <= 12 or so) this is entirely adequate.
+ground-set vectors. Cocircuits come from integer hyperplane normals (signed
+(n-1)-minors of the column-scaled configuration), and covectors are their
+composition closure, computed on bitmask pairs. The closure can be exponential
+in r, so ``covectors`` raises ``TooLarge`` when r exceeds ``GROUND_SET_GUARD``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .errors import RankDeficient, ShapeMismatch, TooLarge
-from .ratmat import RationalMatrix, column_basis, det, kernel_basis, rank
-from .signs import SignVector, canonical_sort, compose, sign_of
+from .ratmat import RationalMatrix, column_basis, det, integer_det, kernel_basis, rank
+from .signs import SignVector, canonical_sort, sign_of
 
 GROUND_SET_GUARD = 16
 
@@ -56,51 +59,58 @@ def chirotope(A: RationalMatrix) -> Chirotope:
 def cocircuits(A: RationalMatrix):
     """All cocircuits (+/- pairs) of the configuration, canonically ordered.
 
-    Each (n-1)-subset of columns spanning a hyperplane determines a normal t,
+    Each (n-1)-subset H of columns spanning a hyperplane determines a normal t,
     and the induced sign vector (sign(t . a^j))_j is a covector of minimal
-    support.
+    support. Scaling each column by the lcm of its denominators keeps every
+    sign, so t is taken as the signed (n-1)-minors of the integer columns H:
+    t . a = det[A_H | a], and t = 0 exactly when A_H has rank below n-1.
     """
     n, r = A.rows, A.cols
     if rank(A) < n:
         raise RankDeficient(f"configuration has rank below {n}")
+    scales = [lcm(*(e.denominator for e in col)) for col in zip(*A.entries)]
+    columns = [[e.numerator * (s // e.denominator) for e in col] for col, s in zip(zip(*A.entries), scales)]
     found = set()
     for H in combinations(range(r), n - 1):
-        sub = A.submatrix(range(n), H)
-        if rank(sub) != n - 1:
+        rows = [[columns[h][i] for h in H] for i in range(n)]
+        t = [(-1) ** (n - 1 - i) * integer_det(rows[:i] + rows[i + 1:]) for i in range(n)]
+        if not any(t):
             continue
-        normals = kernel_basis(sub.transpose())  # t with t^T a^h = 0 for h in H
-        if normals.cols != 1:
-            continue
-        t = normals.column(0)
-        c = SignVector(
-            sign_of(sum(t[i] * A.entries[i][j] for i in range(n))) for j in range(r)
-        )
-        if c.is_zero():
-            continue
+        c = SignVector(sign_of(sum(ti * ai for ti, ai in zip(t, col))) for col in columns)
         found.add(c)
         found.add(-c)
     return canonical_sort(found)
 
 
 def covectors(A: RationalMatrix):
-    """The full covector set sigma(im(A^T)): composition closure of the cocircuits."""
-    n, r = A.rows, A.cols
+    """The full covector set sigma(im(A^T)): composition closure of the cocircuits.
+
+    A sign vector is held as the bitmask pair (pos, neg) of its + and -
+    coordinates, and u o v = (pos_u | pos_v & ~supp_u, neg_u | neg_v & ~supp_u);
+    a cocircuit whose support lies inside supp_u leaves u unchanged.
+    """
+    r = A.cols
     if r > GROUND_SET_GUARD:
         raise TooLarge(f"covector enumeration guarded at ground-set size {GROUND_SET_GUARD}")
-    base = set(cocircuits(A))
-    closed = set(base)
-    closed.add(SignVector.zero(r))
-    frontier = set(closed)
+    pairs = [(sum(1 << j for j, x in enumerate(c) if x > 0), sum(1 << j for j, x in enumerate(c) if x < 0))
+             for c in cocircuits(A)]
+    base = [(p, q, p | q) for p, q in pairs]
+    closed = {(0, 0), *pairs}
+    frontier = list(closed)
     while frontier:
-        fresh = set()
-        for u in frontier:
-            for v in base:
-                w = compose(u, v)
-                if w not in closed:
-                    fresh.add(w)
-        closed |= fresh
+        fresh = []
+        for pos, neg in frontier:
+            free = ~(pos | neg)
+            for p, q, supp in base:
+                if supp & free:
+                    w = (pos | (p & free), neg | (q & free))
+                    if w not in closed:
+                        closed.add(w)
+                        fresh.append(w)
         frontier = fresh
-    return canonical_sort(closed)
+    return canonical_sort(
+        SignVector((pos >> j & 1) - (neg >> j & 1) for j in range(r)) for pos, neg in closed
+    )
 
 
 def matroid_vectors(A: RationalMatrix):

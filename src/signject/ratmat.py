@@ -1,8 +1,10 @@
 """Exact rational matrices: ranks, kernels, minors, Gale duals, permutation signs.
 
-Entries are :class:`fractions.Fraction`; nothing here ever rounds. ``det``
-clears each row's denominators and eliminates over the integers; the other
-routines work over Fraction. Matrices are immutable once constructed.
+Entries are :class:`fractions.Fraction`; nothing here ever rounds.
+``integer_det`` is the one integer Bareiss elimination: ``det`` clears each
+row's denominators and calls it, and so does the cocircuit enumeration in
+``matroid`` for its integer normals. The other routines work over Fraction.
+Matrices are immutable once constructed.
 """
 from __future__ import annotations
 
@@ -281,22 +283,15 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_columns(columns, rows=M.cols)
 
 
-def det(M: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination over the integers.
+def integer_det(grid) -> int:
+    """Determinant of a square integer matrix, given as a list of rows.
 
-    Each row is first cleared of its denominators; the integer determinant is
-    then divided by the product of the row scales.
+    Bareiss fraction-free elimination: every division by the previous pivot is
+    exact, so every entry stays an integer. The empty matrix has determinant 1.
     """
-    if M.rows != M.cols:
-        raise SizeMismatch(f"determinant of {M.rows}x{M.cols} matrix")
-    if M.rows == 0:
-        return Fraction(1)
-    scale = 1
-    grid = []
-    for row in M.entries:
-        s = lcm(*(e.denominator for e in row))
-        scale *= s
-        grid.append([e.numerator * (s // e.denominator) for e in row])
+    if not grid:
+        return 1
+    grid = list(grid)
     sign = 1
     prev = 1
     # each step eliminates the first column and drops the pivot row
@@ -304,7 +299,7 @@ def det(M: RationalMatrix) -> Fraction:
         if grid[0][0] == 0:
             swap = next((i for i in range(1, len(grid)) if grid[i][0] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             grid[0], grid[swap] = grid[swap], grid[0]
             sign = -sign
         pivot_row = grid[0]
@@ -314,7 +309,21 @@ def det(M: RationalMatrix) -> Fraction:
             for row in grid[1:]
         ]
         prev = p
-    return Fraction(sign * grid[0][0], scale)
+    return sign * grid[0][0]
+
+
+def det(M: RationalMatrix) -> Fraction:
+    """Exact determinant: each row is cleared of its denominators, then
+    ``integer_det``, divided by the product of the row scales."""
+    if M.rows != M.cols:
+        raise SizeMismatch(f"determinant of {M.rows}x{M.cols} matrix")
+    scale = 1
+    grid = []
+    for row in M.entries:
+        s = lcm(*(e.denominator for e in row))
+        scale *= s
+        grid.append([e.numerator * (s // e.denominator) for e in row])
+    return Fraction(integer_det(grid), scale)
 
 
 def minor(M: RationalMatrix, I: IndexSet, J: IndexSet) -> Fraction:

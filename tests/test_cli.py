@@ -142,6 +142,42 @@ def test_size_guard_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("A, B, T, expected_code", [
+    ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]], "--\n-0\n-+\n0-\n0+\n+-\n+0\n++\n", 0),
+    ([[1, -1]], [[1, 0], [0, 1]], "+-\n++\n", 3),
+], ids=["birch", "counterexample"])
+def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, T, expected_code):
+    import signject.engine as engine
+
+    a = write(tmp_path, "A.json", M(A))
+    b = write(tmp_path, "B.json", M(B))
+    t = tmp_path / "T.txt"
+    t.write_text(T)
+    out = tmp_path / "out.json"
+    argv = ["--output", str(out), "injectivity", "--A", a, "--B", b, "--S-signs", str(t)]
+    solve = engine.feasible_sign_pair
+    lps = []
+    monkeypatch.setattr(engine, "feasible_sign_pair", lambda *args: lps.append(args) or solve(*args))
+    assert main(argv) == expected_code
+    expected = out.read_bytes()
+    out.unlink()
+    needed = len(lps)
+    assert needed
+    # a budget of exactly the LPs the search needs changes nothing
+    monkeypatch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", needed)
+    assert main(argv) == expected_code
+    assert out.read_bytes() == expected
+    out.unlink()
+    # one LP less stops the search with the size-guard exit code and no JSON
+    monkeypatch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", needed - 1)
+    capsys.readouterr()
+    assert main(argv) == 4
+    _, err = capsys.readouterr()
+    assert not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(lps) == 3 * needed - 1
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     import signject.engine as engine
 

@@ -11,6 +11,11 @@ CLI calls of acceptance criterion 3's route pool (``--S-image`` and
 sampling oracle on pool instances 4 and 9 at 200 samples, whose collisions
 come from exact LP witnesses.
 
+``matroid.json`` pins the same way ``covectors``, ``cocircuits`` and
+``chirotope`` on the three configurations of the benchmark's ``sign_search``
+workload and on 30 seeded configurations with fractional entries, some of
+them rank-deficient (exit code 2, no JSON: the hash of empty bytes).
+
 After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -20,6 +25,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +33,7 @@ import pytest
 from signject.cli import main
 from signject.engine import Subspace
 from signject.oracle import sampled_injectivity_search
-from signject.ratmat import RationalMatrix
+from signject.ratmat import RationalMatrix, rank
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -154,9 +160,11 @@ def case_argv(argv, files, workdir: Path):
 
 
 def run_case(argv, files, workdir: Path):
+    """(exit code, JSON bytes); empty bytes when the call wrote no JSON."""
     args, out = case_argv(argv, files, workdir)
+    out.unlink(missing_ok=True)
     code = main(args)
-    return code, out.read_bytes()
+    return code, out.read_bytes() if out.exists() else b""
 
 
 ROUTE_SEED = 20240824  # the pool of acceptance criteria 3-5
@@ -204,6 +212,42 @@ def route_pool_outputs(workdir: Path):
     return out
 
 
+def _draw(family, seed, n, r):
+    """The first rank-n integer n x r matrix with no zero column from
+    Random(f"{family}-{seed}"), as the benchmark's workloads draw them."""
+    rnd = random.Random(f"{family}-{seed}")
+    while True:
+        A = [[rnd.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        if rank(RationalMatrix(A)) == n and all(any(row[j] for row in A) for j in range(r)):
+            return A
+
+
+def matroid_configurations():
+    """(name, rows): the sign_search configurations, then 30 fractional ones."""
+    configs = [("covectors/1", _draw("covectors", 1, 4, 9)),
+               ("cocircuits/1", _draw("cocircuits", 1, 4, 10)),
+               ("cocircuits/2", _draw("cocircuits", 2, 5, 10))]
+    rnd = random.Random(ROUTE_SEED)
+    for i in range(30):
+        n = rnd.randint(1, 4)
+        r = rnd.randint(n, 7)
+        A = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 7)) for _ in range(r)] for _ in range(n)]
+        if i % 10 == 9 and n > 1:  # rank-deficient: the last row is twice the first
+            A[-1] = [2 * e for e in A[0]]
+        configs.append((f"fractional/{i}", A))
+    return configs
+
+
+def matroid_outputs(workdir: Path):
+    """{command/config: [exit code, sha256 of the JSON bytes]}."""
+    out = {}
+    for name, A in matroid_configurations():
+        for command in ("covectors", "cocircuits", "chirotope"):
+            code, data = run_case([command, "--A", "{A}"], {"A": _m(A)}, workdir)
+            out[f"{command}/{name}"] = [code, hashlib.sha256(data).hexdigest()]
+    return out
+
+
 @pytest.mark.parametrize("name, argv, files, expected_code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv, files, expected_code, tmp_path, capsys):
     code, data = run_case(argv, files, tmp_path)
@@ -234,6 +278,15 @@ def test_route_pool_golden(tmp_path, capsys):
     assert not differing, f"{len(differing)} route-pool outputs differ, first {differing[:5]}"
 
 
+def test_matroid_golden(tmp_path, capsys):
+    got = matroid_outputs(tmp_path)
+    capsys.readouterr()
+    expected = json.loads((GOLDEN / "matroid.json").read_text())
+    assert list(got) == list(expected)
+    differing = [key for key in expected if got[key] != expected[key]]
+    assert not differing, f"{len(differing)} matroid outputs differ, first {differing[:5]}"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -247,3 +300,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = route_pool_outputs(Path(tmp))
     (GOLDEN / "route_pool.json").write_text(json.dumps(outputs, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = matroid_outputs(Path(tmp))
+    (GOLDEN / "matroid.json").write_text(json.dumps(outputs, indent=1) + "\n")

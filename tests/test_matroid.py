@@ -80,15 +80,25 @@ def test_too_large_guard():
         covectors(wide)
 
 
+def fractional_configuration(rnd, max_n, max_r):
+    """A random n x r configuration with denominators up to 7, possibly rank-deficient."""
+    n = rnd.randint(1, max_n)
+    r = rnd.randint(n, max_r)
+    return M([[Fraction(rnd.randint(-3, 3), rnd.randint(1, 7)) for _ in range(r)] for _ in range(n)])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_covectors_match_brute_force(rnd):
-    n = rnd.randint(1, 2)
-    r = rnd.randint(n, 4)
-    A = M([[Fraction(rnd.randint(-3, 3)) for _ in range(r)] for _ in range(n)])
-    if rank(A) < n:
+    A = fractional_configuration(rnd, 3, 5)
+    if rank(A) < A.rows:
+        with pytest.raises(RankDeficient):
+            covectors(A)
         return
+    r = A.cols
     assert covectors(A) == brute_force_sign_set(A.transpose(), "image")
+    if r == 5:  # each further sweep of 3^5 orthant LPs would add about a third to the test's time
+        return
     kernel = brute_force_sign_set(A, "kernel")
     assert matroid_vectors(A) == kernel
     # sigma(ker A) ∩ sigma(im C) for a second, possibly dependent, configuration C
@@ -96,6 +106,32 @@ def test_covectors_match_brute_force(rnd):
     C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(r)])
     shared = set(kernel) & set(brute_force_sign_set(C, "image"))
     assert common_sign_vectors(A, C) == tuple(sorted(v for v in shared if not v.is_zero()))
+
+
+def reference_closure(base, r):
+    """Composition closure of base and the zero vector, on SignVectors."""
+    closed = {SignVector.zero(r)} | set(base)
+    while True:
+        fresh = {compose(u, v) for u in closed for v in base} - closed
+        if not fresh:
+            return closed
+        closed |= fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_covectors_match_reference_closure(rnd):
+    A = fractional_configuration(rnd, 4, 6)
+    if rank(A) < A.rows:
+        return
+    cc = cocircuits(A)
+    cov = reference_closure(cc, A.cols)
+    assert covectors(A) == tuple(sorted(cov))
+    # cocircuits are the nonzero covectors of minimal support
+    nonzero = [v for v in cov if not v.is_zero()]
+    minimal = {v for v in nonzero if not any(w.support < v.support for w in nonzero)}
+    assert set(cc) == minimal
+    assert cc == tuple(sorted(minimal))
 
 
 @settings(max_examples=40, deadline=None)
