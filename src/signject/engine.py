@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Optional
 
 import mpmath
@@ -33,6 +34,9 @@ from .ratmat import (
     column_basis,
     det,
     gale_dual,
+    integer_det,
+    integer_pivots,
+    integer_rows,
     kernel_basis,
     permutation_sign_tau,
     rank,
@@ -147,6 +151,7 @@ def gamma_det_poly(
         Z = None
     elif Z.rows != n - s or Z.cols != n:
         raise ShapeMismatch(f"Z must be {n - s} x {n}")
+    b_rows, b_scales = integer_rows(B)
     terms = {}
     full_s = list(range(s))
     full_ns = list(range(n - s))
@@ -160,9 +165,9 @@ def gamma_det_poly(
         if z_minor == 0:
             continue
         for J, a_minor in a_minors:
-            coeff = tau * z_minor * a_minor * det(B.submatrix(J, I))
-            if coeff != 0:
-                terms[(I, J)] = coeff
+            b = integer_det([[b_rows[j][i] for i in I] for j in J])
+            if b:
+                terms[(I, J)] = tau * z_minor * a_minor * Fraction(b, prod(b_scales[j] for j in J))
     return SymbolicDetPoly(s, terms)
 
 
@@ -174,29 +179,74 @@ def det_condition(p: SymbolicDetPoly) -> bool:
 # -- minors route -------------------------------------------------------------
 
 
+def _paired_products(Atilde: RationalMatrix, B: RationalMatrix, s: int):
+    """(I, J, num, den) with det(Atilde_{I,J}) det(B_{J,I}) = num / den and
+    den > 0, in lexicographic (I, J) order; pairs whose product is known to
+    vanish may be left out. The cases are those of ``check_minors``.
+    """
+    n, r = Atilde.rows, Atilde.cols
+    a_rows, a_scales = integer_rows(Atilde)
+    P, Q, d = integer_pivots(a_rows)
+    if len(Q) < s:
+        return
+    if len(Q) > s:
+        for I in combinations(range(n), s):
+            for J in combinations(range(r), s):
+                product = det(Atilde.submatrix(I, J)) * det(B.submatrix(J, I))
+                yield I, J, product.numerator, product.denominator
+        return
+    # Atilde = C R with C = Atilde_{:,Q} and R = (Atilde_{P,Q})^{-1} Atilde_P,
+    # the nonzero rows of its rref; by Cauchy-Binet det(Atilde_{I,J}) =
+    # det(C_I) det(R_J), and on the integer rows det(R_J) = det(Atilde_{P,J}) / d
+    b_rows, b_scales = integer_rows(B)
+    sign_d = 1 if d > 0 else -1
+    r_minors = [(J, sign_d * m, prod(b_scales[j] for j in J)) for J in combinations(range(r), s)
+                if (m := integer_det([[a_rows[p][j] for j in J] for p in P]))]
+    for I in combinations(range(n), s):
+        c = integer_det([[a_rows[i][q] for q in Q] for i in I])
+        if c == 0:
+            continue
+        den = abs(d) * prod(a_scales[i] for i in I)
+        for J, m, b_scale in r_minors:
+            b = integer_det([[b_rows[j][i] for i in I] for j in J])
+            if b:
+                yield I, J, c * m * b, den * b_scale
+
+
 def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     """The paired-minor sign condition over all |I| = |J| = s.
 
-    Returns (holds, ledger). The ledger records the first nonzero product and,
-    on failure, the lexicographically smallest conflicting pair.
+    Returns (holds, ledger). The ledger records the first nonzero product
+    det(Atilde_{I,J}) det(B_{J,I}) in lexicographic (I, J) order and, on
+    failure, the first pair whose product has the other sign.
+
+    One fraction-free elimination of Atilde's integer rows (``integer_rows``,
+    ``integer_pivots``) gives its rank k, and the scan depends on it:
+
+    - k < s: every s-minor of Atilde vanishes, and no pair is scanned;
+    - k = s: Atilde = C R, with C its pivot columns and R the nonzero rows of
+      its rref, so det(Atilde_{I,J}) = det(C_I) det(R_J) (Cauchy-Binet):
+      C(n, s) + C(r, s) integer minors, and the I and J with a zero factor
+      are dropped before the pairs are formed. det(B_{J,I}) is an integer
+      minor of B's integer rows, taken only for the pairs left;
+    - k > s (only the ``minors`` command with s below the rank of Atilde):
+      no one factorization serves, so both minors of each pair are taken
+      directly with ``det``.
     """
-    n, r = Atilde.rows, Atilde.cols
-    if B.rows != r or B.cols != n:
+    if B.rows != Atilde.cols or B.cols != Atilde.rows:
         raise ShapeMismatch("B must be r x n for an n x r Atilde")
     common_sign = 0
     witness = None
     conflict = None
-    for I in combinations(range(n), s):
-        for J in combinations(range(r), s):
-            product = det(Atilde.submatrix(I, J)) * det(B.submatrix(J, I))
-            sg = sign_of(product)
-            if sg == 0:
-                continue
-            if common_sign == 0:
-                common_sign = sg
-                witness = (I, J, product)
-            elif sg != common_sign and conflict is None:
-                conflict = (witness[:2], (I, J))
+    for I, J, num, den in _paired_products(Atilde, B, s):
+        if num == 0:
+            continue
+        sg = 1 if num > 0 else -1
+        if common_sign == 0:
+            common_sign = sg
+            witness = (I, J, Fraction(num, den))
+        elif sg != common_sign and conflict is None:
+            conflict = (witness[:2], (I, J))
     holds = common_sign != 0 and conflict is None
     ledger = {
         "s": s,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
 from .errors import RankDeficient, ShapeMismatch, TooLarge
-from .ratmat import RationalMatrix, column_basis, det, integer_det, kernel_basis, rank
+from .ratmat import RationalMatrix, column_basis, det, integer_det, integer_rows, kernel_basis, rank
 from .signs import SignVector, canonical_sort, sign_of
 
 GROUND_SET_GUARD = 16
@@ -68,8 +67,7 @@ def cocircuits(A: RationalMatrix):
     n, r = A.rows, A.cols
     if rank(A) < n:
         raise RankDeficient(f"configuration has rank below {n}")
-    scales = [lcm(*(e.denominator for e in col)) for col in zip(*A.entries)]
-    columns = [[e.numerator * (s // e.denominator) for e in col] for col, s in zip(zip(*A.entries), scales)]
+    columns, _ = integer_rows(A.transpose())
     found = set()
     for H in combinations(range(r), n - 1):
         rows = [[columns[h][i] for h in H] for i in range(n)]

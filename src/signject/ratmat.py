@@ -1,9 +1,12 @@
 """Exact rational matrices: ranks, kernels, minors, Gale duals, permutation signs.
 
 Entries are :class:`fractions.Fraction`; nothing here ever rounds.
-``integer_det`` is the one integer Bareiss elimination: ``det`` clears each
-row's denominators and calls it, and so does the cocircuit enumeration in
-``matroid`` for its integer normals. The other routines work over Fraction.
+``integer_rows`` clears each row of its denominators: ``det``, the
+paired-minor scans in ``engine`` and the cocircuit normals in ``matroid``
+take their integer rows from it. One fraction-free (Bareiss) elimination step,
+``_eliminate``, serves both ``integer_det`` and ``integer_pivots``, which
+finds a rank, a nonsingular square submatrix of that size and its
+determinant. The other routines work over Fraction.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (NoComplement, NotGaleDual, ParseError, RankDeficient, ShapeMismatch,
                      SizeMismatch, VerificationFailed)
@@ -283,11 +286,20 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_columns(columns, rows=M.cols)
 
 
-def integer_det(grid) -> int:
-    """Determinant of a square integer matrix, given as a list of rows.
+def _eliminate(grid, pivot_row, prev):
+    """One Bareiss step: clear the first column of each row of grid with
+    pivot_row and drop that column. Every division by the previous pivot prev
+    is exact, so every entry stays an integer: after each step, each entry is
+    the minor on the pivot rows and columns so far plus its own row and column.
+    """
+    p = pivot_row[0]
+    return [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], pivot_row[1:])] for row in grid]
 
-    Bareiss fraction-free elimination: every division by the previous pivot is
-    exact, so every entry stays an integer. The empty matrix has determinant 1.
+
+def integer_det(grid) -> int:
+    """Determinant of a square integer matrix, given as a list of rows, by
+    fraction-free elimination (``_eliminate``). The empty matrix has
+    determinant 1.
     """
     if not grid:
         return 1
@@ -303,27 +315,60 @@ def integer_det(grid) -> int:
             grid[0], grid[swap] = grid[swap], grid[0]
             sign = -sign
         pivot_row = grid[0]
-        p = pivot_row[0]
-        grid = [
-            [(p * a - row[0] * b) // prev for a, b in zip(row[1:], pivot_row[1:])]
-            for row in grid[1:]
-        ]
-        prev = p
+        grid = _eliminate(grid[1:], pivot_row, prev)
+        prev = pivot_row[0]
     return sign * grid[0][0]
 
 
-def det(M: RationalMatrix) -> Fraction:
-    """Exact determinant: each row is cleared of its denominators, then
-    ``integer_det``, divided by the product of the row scales."""
-    if M.rows != M.cols:
-        raise SizeMismatch(f"determinant of {M.rows}x{M.cols} matrix")
-    scale = 1
-    grid = []
+def integer_pivots(grid):
+    """(P, Q, d) for an integer matrix given as a list of rows: Q is the pivot
+    columns of its rref, P is rows (increasing) such that the submatrix on rows
+    P and columns Q is nonsingular, and d is its determinant; len(Q) is the
+    rank. d = 1 when the rank is 0.
+
+    The same fraction-free elimination as ``integer_det``, on each column in
+    turn, skipping a column with no pivot. The last pivot is the determinant
+    with the rows in the order they were taken, so d is it times the sign of
+    that order.
+    """
+    rows = list(range(len(grid)))  # the index of each row not yet taken
+    grid = list(grid)
+    P, Q = [], []
+    prev = 1
+    for c in range(len(grid[0]) if grid else 0):
+        k = next((i for i, row in enumerate(grid) if row[0] != 0), None)
+        if k is None:
+            grid = [row[1:] for row in grid]
+            continue
+        P.append(rows.pop(k))
+        Q.append(c)
+        pivot_row = grid.pop(k)
+        grid = _eliminate(grid, pivot_row, prev)
+        prev = pivot_row[0]
+        if not grid:
+            break
+    inversions = sum(p > q for i, p in enumerate(P) for q in P[i + 1:])
+    return sorted(P), Q, -prev if inversions % 2 else prev
+
+
+def integer_rows(M: RationalMatrix):
+    """(rows, scales): each row of M times the lcm of its denominators, as a
+    list of integers, and that lcm, so M.row(i) = rows[i] / scales[i]."""
+    rows, scales = [], []
     for row in M.entries:
         s = lcm(*(e.denominator for e in row))
-        scale *= s
-        grid.append([e.numerator * (s // e.denominator) for e in row])
-    return Fraction(integer_det(grid), scale)
+        scales.append(s)
+        rows.append([e.numerator * (s // e.denominator) for e in row])
+    return rows, scales
+
+
+def det(M: RationalMatrix) -> Fraction:
+    """Exact determinant: ``integer_det`` of the integer rows, divided by the
+    product of the row scales."""
+    if M.rows != M.cols:
+        raise SizeMismatch(f"determinant of {M.rows}x{M.cols} matrix")
+    rows, scales = integer_rows(M)
+    return Fraction(integer_det(rows), prod(scales))
 
 
 def minor(M: RationalMatrix, I: IndexSet, J: IndexSet) -> Fraction:

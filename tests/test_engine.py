@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from signject.engine import (
 )
 from signject.errors import NonPositiveInput, ShapeMismatch
 from signject.matroid import matroid_vectors
-from signject.oracle import naive_symbolic_gamma_det
+from signject.oracle import cofactor_det, naive_symbolic_gamma_det
 from signject.ratmat import RationalMatrix, rank
 from signject.signs import SignVector
 
@@ -49,7 +50,7 @@ def test_gamma_matches_leibniz_oracle(rnd):
     s = rnd.randint(1, n)
     r = rnd.randint(s, 3)
     Ap = M([[Fraction(rnd.randint(-2, 2)) for _ in range(r)] for _ in range(s)])
-    B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
+    B = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 3)) for _ in range(n)] for _ in range(r)])
     Z = None
     if s < n:
         Z = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(n - s)])
@@ -70,6 +71,55 @@ def test_check_minors_ledger():
     }
     holds, ledger = check_minors(M.identity(2), M.identity(2), 2)
     assert holds and ledger["common_sign"] == 1
+
+
+def reference_minors(Atilde, B, s):
+    """check_minors by cofactor expansion of every det(Atilde_{I,J}) and
+    det(B_{J,I}), scanning all pairs in lexicographic (I, J) order."""
+    common_sign, witness, conflict = 0, None, None
+    for I in combinations(range(Atilde.rows), s):
+        for J in combinations(range(Atilde.cols), s):
+            product = cofactor_det(Atilde.submatrix(I, J)) * cofactor_det(B.submatrix(J, I))
+            sg = (product > 0) - (product < 0)
+            if sg == 0:
+                continue
+            if common_sign == 0:
+                common_sign, witness = sg, (I, J, product)
+            elif sg != common_sign and conflict is None:
+                conflict = {"first": {"I": list(witness[0]), "J": list(witness[1])},
+                            "second": {"I": list(I), "J": list(J)}}
+    ledger = {
+        "s": s,
+        "common_sign": common_sign,
+        "nonzero_witness": None if witness is None else
+        {"I": list(witness[0]), "J": list(witness[1]), "product": str(witness[2])},
+        "conflict": conflict,
+    }
+    return common_sign != 0 and conflict is None, ledger
+
+
+def _fractional(rnd, rows, cols):
+    return [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 7)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["below", "equal", "above"]))
+def test_check_minors_matches_cofactor_reference(rnd, rank_case):
+    """Fractional Atilde = X Y of rank below, equal to or above s (at most the
+    inner dimension k), against a B drawn at random or as a positive row
+    scaling of Atilde^T, whose nonzero products are all positive."""
+    n = rnd.randint(1, 4)
+    r = rnd.randint(1, 5)
+    low = min(n, r)
+    s = rnd.randint(1, low) if rank_case != "above" or low == 1 else rnd.randint(1, low - 1)
+    k = {"below": s - 1, "equal": s, "above": rnd.randint(s + 1, low) if s < low else s}[rank_case]
+    Atilde = M(_fractional(rnd, n, k)) @ M(_fractional(rnd, k, r)) if k else M.zeros(n, r)
+    if rnd.random() < 0.5:
+        B = M(_fractional(rnd, r, n))
+    else:
+        scales = [Fraction(rnd.randint(1, 7), rnd.randint(1, 7)) for _ in range(r)]
+        B = M([[c * e for e in row] for c, row in zip(scales, Atilde.transpose().entries)])
+    assert check_minors(Atilde, B, s) == reference_minors(Atilde, B, s)
 
 
 def test_birch_always_injective():

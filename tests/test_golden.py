@@ -16,6 +16,11 @@ come from exact LP witnesses.
 workload and on 30 seeded configurations with fractional entries, some of
 them rank-deficient (exit code 2, no JSON: the hash of empty bytes).
 
+The corpus includes ``minors`` and ``gamma-det`` on the dual futile cycle
+(9 species, 12 reactions), with the inputs ``crn preclude`` builds from it;
+``test_dual_minors_determinant_count`` pins how many integer determinants
+``check_minors`` takes there.
+
 After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -30,10 +35,12 @@ from pathlib import Path
 
 import pytest
 
+from signject import engine, ratmat
 from signject.cli import main
+from signject.crn import parse_network, stoichiometry
 from signject.engine import Subspace
 from signject.oracle import sampled_injectivity_search
-from signject.ratmat import RationalMatrix, rank
+from signject.ratmat import RationalMatrix, rank, rref
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -56,6 +63,31 @@ AUTOCATALYTIC = "k1: 0 -> X\nk2: X -> 0\nk3: 2 X -> 3 X\n"
 EDELSTEIN = ("k1: A -> 2 A\nk2: 2 A -> A\nk3: A + B -> C\nk4: C -> A + B\n"
              "k5: C -> B\nk6: B -> C\n")
 PAIR = "k1: 0 -> A + B\nk2: A + B -> 0\n"
+FUTILE = ("k1: E + S0 -> ES0\nk2: ES0 -> E + S0\nk3: ES0 -> E + S1\n"
+          "k4: F + S1 -> FS1\nk5: FS1 -> F + S1\nk6: FS1 -> F + S0\n")
+# two-site phosphorylation, distributive kinase E, processive phosphatase F
+TWOSITE = ("k1: E + S0 -> ES0\nk2: ES0 -> E + S0\nk3: ES0 -> E + S1\n"
+           "k4: E + S1 -> ES1\nk5: ES1 -> E + S1\nk6: ES1 -> E + S2\n"
+           "k7: F + S2 -> FS2\nk8: FS2 -> F + S2\nk9: FS2 -> F + S0\n")
+# the dual futile cycle (9 species, 12 reactions), known to be multistationary
+DUAL = ("k1: E + S0 -> ES0\nk2: ES0 -> E + S0\nk3: ES0 -> E + S1\n"
+        "k4: E + S1 -> ES1\nk5: ES1 -> E + S1\nk6: ES1 -> E + S2\n"
+        "k7: F + S2 -> FS2\nk8: FS2 -> F + S2\nk9: FS2 -> F + S1\n"
+        "k10: F + S1 -> FS1\nk11: FS1 -> F + S1\nk12: FS1 -> F + S0\n")
+
+
+def subspace_route_inputs(text):
+    """(Atilde = C A', A', V, Z) of `crn preclude` on a network: C spans im(N),
+    A' is the nonzero rows of rref(N) and Z is the Gale dual of C."""
+    N, V = stoichiometry(parse_network(text))
+    S = Subspace(C=N)
+    R, pivots = rref(N)
+    Aprime = RationalMatrix(R.entries[:len(pivots)])
+    C = S.image_presentation()
+    return C @ Aprime, Aprime, V, S.kernel_presentation()
+
+
+DUAL_ATILDE, DUAL_APRIME, DUAL_V, DUAL_Z = (_m(M.entries) for M in subspace_route_inputs(DUAL))
 
 # (name, argv with {file} placeholders, input files, expected exit code)
 CASES = [
@@ -105,6 +137,12 @@ CASES = [
     ("gamma_det",
      ["gamma-det", "--Aprime", "{Ap}", "--B", "{B}", "--Z", "{Z}"],
      {"Ap": _m([[1]]), "B": _m([[1, 2]]), "Z": _m([[1, 1]])}, 3),
+    ("minors_dual",
+     ["minors", "--A", "{A}", "--B", "{B}", "--s", "6"],
+     {"A": DUAL_ATILDE, "B": DUAL_V}, 3),
+    ("gamma_det_dual",
+     ["gamma-det", "--Aprime", "{Ap}", "--B", "{B}", "--Z", "{Z}"],
+     {"Ap": DUAL_APRIME, "B": DUAL_V, "Z": DUAL_Z}, 3),
     ("chirotope", ["chirotope", "--A", "{A}"], {"A": CONFIG}, 0),
     ("cocircuits", ["cocircuits", "--A", "{A}"], {"A": CONFIG}, 0),
     ("covectors", ["covectors", "--A", "{A}"], {"A": CONFIG}, 0),
@@ -128,6 +166,10 @@ CASES = [
      ["crn", "preclude", "{net}"], {"net": AUTOCATALYTIC}, 3),
     ("crn_preclude_edelstein",
      ["crn", "preclude", "{net}"], {"net": EDELSTEIN}, 3),
+    ("crn_preclude_futile",
+     ["crn", "preclude", "{net}"], {"net": FUTILE}, 0),
+    ("crn_preclude_twosite",
+     ["crn", "preclude", "{net}"], {"net": TWOSITE}, 0),
     ("crn_special_unique",
      ["crn", "special", "{net}", "--M", "{M}"],
      {"net": INTERCONVERSION, "M": I2}, 0),
@@ -256,7 +298,7 @@ def test_golden_output(name, argv, files, expected_code, tmp_path, capsys):
     assert data == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["inj_image_minors_fail", "crn_preclude_edelstein"])
+@pytest.mark.parametrize("name", ["inj_image_minors_fail", "crn_preclude_edelstein", "minors_dual"])
 def test_golden_output_under_optimize(name, tmp_path):
     """The always-on checks are not asserts: python -O gives the same bytes."""
     _, argv, files, expected_code = next(case for case in CASES if case[0] == name)
@@ -267,6 +309,29 @@ def test_golden_output_under_optimize(name, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == expected_code, proc.stderr
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# integer determinants check_minors takes on the dual futile cycle at s = 6: the
+# Cauchy-Binet factors of Atilde (det(C_I) for all 84 I, det(R_J) for all 924 J)
+# and one det(B_{J,I}) per pair with two nonzero factors. Two determinants for
+# each of the 77,616 pairs would be 155,232.
+DUAL_MINORS_DETERMINANTS = 6624
+
+
+def test_dual_minors_determinant_count(monkeypatch):
+    """A lost zero-factor skip shows as a count, on any machine."""
+    calls = [0]
+
+    def counting(grid, _det=ratmat.integer_det):
+        calls[0] += 1
+        return _det(grid)
+
+    for module in (ratmat, engine):
+        monkeypatch.setattr(module, "integer_det", counting)
+    Atilde, _, V, _ = subspace_route_inputs(DUAL)
+    holds, _ = engine.check_minors(Atilde, V, 6)
+    assert not holds
+    assert calls[0] == DUAL_MINORS_DETERMINANTS
 
 
 def test_route_pool_golden(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from signject.ratmat import (
     RationalMatrix,
     det,
     gale_dual,
+    integer_pivots,
+    integer_rows,
     kernel_basis,
     minor,
     parse_rational,
@@ -94,6 +97,24 @@ def test_det_matches_cofactor(grid, zero_corner):
         grid[0][0] = Fraction(0)  # the elimination must swap rows
     A = M(grid)
     assert det(A) == cofactor_det(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_integer_pivots_match_rref(rows, cols, rnd):
+    """Q is the rref pivot columns and d = det(M_{P,Q}) is nonzero, also when
+    rows repeat up to scale (rank below rows) or all entries vanish."""
+    A = [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 7)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rnd.random() < 0.3:
+        A[-1] = [Fraction(-2, 3) * e for e in A[0]]
+    if rnd.random() < 0.05:
+        A = [[Fraction(0)] * cols for _ in range(rows)]
+    grid, scales = integer_rows(M(A))
+    assert all(g == a * s for row, grow, s in zip(A, grid, scales) for a, g in zip(row, grow))
+    P, Q, d = integer_pivots(grid)
+    assert tuple(Q) == rref(M(A))[1]
+    assert P == sorted(set(P)) and len(P) == len(Q)
+    assert d != 0 and d == cofactor_det(M(A).submatrix(P, Q)) * prod(scales[p] for p in P)
 
 
 @settings(max_examples=40, deadline=None)
