@@ -10,13 +10,14 @@ counterexample witness is rendered and re-verified at high precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 from typing import Optional
 
-import mpmath
 from mpmath import libmp, mp
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
                      ShapeMismatch, VerificationFailed)
@@ -73,26 +74,34 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.C.rows if self.C is not None else self.Z.cols
 
-    def dim(self) -> int:
-        if self.C is not None:
-            return rank(self.C)
-        return self.Z.cols - rank(self.Z)
-
-    def image_presentation(self) -> RationalMatrix:
-        """n x dim matrix with independent columns spanning S."""
+    # The presentations are computed once per instance (cached_property writes
+    # the instance __dict__, which a frozen dataclass allows).
+    @cached_property
+    def _image(self) -> RationalMatrix:
         return kernel_basis(self.Z) if self.Z is not None else column_basis(self.C)
 
-    def kernel_presentation(self) -> RationalMatrix:
-        """(n - dim) x n matrix Z with S = ker(Z); zero rows when S = R^n."""
+    @cached_property
+    def _kernel(self) -> RationalMatrix:
         if self.Z is not None:
             return self.Z
         n = self.ambient_dim
-        C = self.image_presentation()
+        C = self._image
         if C.cols == n:
             return RationalMatrix([], 0, n)
         if C.cols == 0:
             return RationalMatrix.identity(n)
         return gale_dual(C)
+
+    def dim(self) -> int:
+        return self._image.cols
+
+    def image_presentation(self) -> RationalMatrix:
+        """n x dim matrix with independent columns spanning S."""
+        return self._image
+
+    def kernel_presentation(self) -> RationalMatrix:
+        """(n - dim) x n matrix Z with S = ker(Z); zero rows when S = R^n."""
+        return self._kernel
 
     def nonzero_sign_vectors(self):
         """sigma(S) minus the zero vector, canonically ordered."""
@@ -344,25 +353,28 @@ def evaluate_map(
         raise LengthMismatch("kappa must match columns of A; x must match columns of B")
     if any(k <= 0 for k in kappa) or any(xi <= 0 for xi in x):
         raise NonPositiveInput("kappa and x must be componentwise positive")
-    ctx = mpmath.iv
-    old = ctx.prec
-    try:
-        ctx.prec = prec
-        with mp.workprec(prec):
-            mono = _monomials(B, x, ctx)
-            values = []
-            radius = mp.mpf(0)
-            for i in range(A.rows):
-                acc = ctx.mpf(0)
-                for j in range(A.cols):
-                    a = A.entries[i][j]
-                    if a != 0:
-                        acc += _from_exact(a, ctx) * _from_exact(kappa[j], ctx) * mono[j]
-                values.append(mp.mpf(acc.mid))
-                radius = max(radius, mp.mpf(acc.delta) / 2)
-            return tuple(values), radius
-    finally:
-        ctx.prec = old
+    ctx = _interval_context(prec)
+    with mp.workprec(prec):
+        mono = _monomials(B, x, ctx)
+        values = []
+        radius = mp.mpf(0)
+        for i in range(A.rows):
+            acc = ctx.mpf(0)
+            for j in range(A.cols):
+                a = A.entries[i][j]
+                if a != 0:
+                    acc += _from_exact(a, ctx) * _from_exact(kappa[j], ctx) * mono[j]
+            values.append(mp.mpf(acc.mid))
+            radius = max(radius, mp.mpf(acc.delta) / 2)
+        return tuple(values), radius
+
+
+@cache
+def _interval_context(prec: int) -> MPIntervalContext:
+    """A private interval context at prec bits; mpmath.iv's precision is never set."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
 
 
 def _mpf_to_fraction(value) -> Fraction:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import numpy
 from mpmath import mp
@@ -19,7 +20,7 @@ from mpmath import mp
 from .errors import TooLarge, VerificationFailed
 from .feasibility import StrictSystem, solve_strict
 from .ratmat import RationalMatrix
-from .signs import SignVector, canonical_sort
+from .signs import SignVector, canonical_sort, sign_of
 
 COFACTOR_LIMIT = 5
 FM_VARIABLE_LIMIT = 6
@@ -233,10 +234,19 @@ def sampled_injectivity_search(
 
     Pairs (x, y) are drawn as rationals with x - y in S (via an S-basis when S
     is a subspace; S = None means the full space). A collision exists for some
-    positive kappa iff A diag(x^B - y^B) has a positive kernel vector; when B
-    is integral this is decided exactly, otherwise a float filter with a
-    Newton polish runs first. Violations count only if the verified relative
-    residual sits below 1e-30 at 256-bit precision. Deterministic per seed.
+    positive kappa iff A diag(x^B - y^B) has a positive kernel vector.
+
+    When B is integral this is decided exactly, after a float screen. Whether
+    such a kappa exists depends only on the sign pattern of d = x^B - y^B (a
+    kernel vector w of A with sign pattern sigma(d) gives kappa_j = w_j / d_j,
+    and any kappa_j > 0 where d_j = 0), so a pattern whose LP was infeasible
+    is not solved again. A feasible sample keeps its own LP's witness kappa,
+    and its violation is checked by an exact rational residual:
+    f_kappa(x) = f_kappa(y) must hold exactly, or VerificationFailed is raised.
+
+    When B is not integral, a float kernel vector rounded to a rational kappa
+    counts only if the relative residual, bounded in interval arithmetic at
+    prec bits (256 by default), sits below 1e-30. Deterministic per seed.
     """
     from .engine import FullSpace, OrthantUnion, Subspace, evaluate_map
 
@@ -245,6 +255,9 @@ def sampled_injectivity_search(
     n = B.cols
     integral_B = all(v.denominator == 1 for row in B.entries for v in row)
 
+    # Every draw is p / d with d in {1, 2, 3, 4}, so its numerator over 12 is
+    # an integer; samples are integer vectors over the common denominator q.
+    scale = 1
     basis = None
     orthants = None
     if S is None or isinstance(S, FullSpace):
@@ -253,35 +266,49 @@ def sampled_injectivity_search(
         if S.dim() == 0:
             return SearchReport(samples=samples, seed=seed, candidates=0)
         basis = S.image_presentation()
+        scale = lcm(*(v.denominator for row in basis.entries for v in row))
+        basis = [[int(v * scale) for v in row] for row in basis.entries]
     elif isinstance(S, OrthantUnion):
         orthants = S.T
     else:
         raise TypeError("unsupported subset specification")
+    q = 12 * scale
 
-    def draw_fraction():
-        return Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4]))
+    def draw_over_12():
+        p = rng.randint(-8, 8)
+        return p * (12 // rng.choice([1, 2, 3, 4]))
 
     Af = numpy.array([[float(v) for v in row] for row in A.entries])
     Bf = numpy.array([[float(v) for v in row] for row in B.entries])
+    if integral_B:
+        # X = q x, so x^b = (p / d) q^-deg for (p, d) = _monomial(X, b), deg = sum(b)
+        exponents = [[int(v) for v in row] for row in B.entries]
+        q_scales = [Fraction(1, q) ** sum(row) for row in exponents]
+    infeasible = set()
     candidates = 0
     violations = []
     for _ in range(samples):
         if basis is not None:
-            coeffs = [draw_fraction() for _ in range(basis.cols)]
-            z = basis.apply(coeffs)
+            coeffs = [draw_over_12() for _ in range(len(basis[0]))]
+            Z = [sum(b * c for b, c in zip(row, coeffs)) for row in basis]
         elif orthants is not None:
             tau = rng.choice(orthants)
-            z = tuple(s * abs(draw_fraction()) for s in tau)
+            Z = [s * abs(draw_over_12()) for s in tau]
         else:
-            z = tuple(draw_fraction() for _ in range(n))
-        y = tuple(Fraction(rng.randint(1, 12), rng.choice([1, 2])) for _ in range(n))
-        x = tuple(a + b for a, b in zip(y, z))
-        if x == y or any(v <= 0 for v in x):
+            Z = [draw_over_12() for _ in range(n)]
+        Y = [rng.randint(1, 12) * (q // rng.choice([1, 2])) for _ in range(n)]
+        X = [a + b for a, b in zip(Y, Z)]
+        if not any(Z) or min(X) <= 0:
             continue
         if integral_B:
-            if not _screen_positive_kernel(Af, Bf, x, y):
+            mx = [_monomial(X, row) for row in exponents]
+            my = [_monomial(Y, row) for row in exponents]
+            pattern = tuple(sign_of(px * dy - py * dx) for (px, dx), (py, dy) in zip(mx, my))
+            if pattern in infeasible or not _screen_positive_kernel(Af, Bf, _floats(X, q), _floats(Y, q)):
                 continue
-            diffs = [_int_power(x, B.entries[j]) - _int_power(y, B.entries[j]) for j in range(r)]
+            mono_x = [Fraction(p, d) * w for (p, d), w in zip(mx, q_scales)]
+            mono_y = [Fraction(p, d) * w for (p, d), w in zip(my, q_scales)]
+            diffs = [a - b for a, b in zip(mono_x, mono_y)]
             D = RationalMatrix(
                 [[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r
             )
@@ -289,14 +316,19 @@ def sampled_injectivity_search(
                 StrictSystem(nvars=r, equalities=D if m else None, comp_signs=SignVector([1] * r))
             )
             if not res.feasible:
+                infeasible.add(pattern)
                 continue
             candidates += 1
             kq = res.witness
-        else:
-            kq = _float_collision_kappa(A, B, x, y)
-            if kq is None:
-                continue
-            candidates += 1
+            if _exact_map(A, kq, mono_x) != _exact_map(A, kq, mono_y):
+                raise VerificationFailed("the LP's kappa does not give f_kappa(x) = f_kappa(y)")
+            violations.append((tuple(kq), _fractions(X, q), _fractions(Y, q)))
+            continue
+        kq = _float_collision_kappa(Af, Bf, _floats(X, q), _floats(Y, q))
+        if kq is None:
+            continue
+        candidates += 1
+        x, y = _fractions(X, q), _fractions(Y, q)
         with mp.workprec(prec):
             xs = [mp.mpf(v.numerator) / mp.mpf(v.denominator) for v in x]
             ys = [mp.mpf(v.numerator) / mp.mpf(v.denominator) for v in y]
@@ -309,30 +341,54 @@ def sampled_injectivity_search(
     return SearchReport(samples=samples, seed=seed, candidates=candidates, violations=tuple(violations))
 
 
-def _int_power(x, exps):
-    out = Fraction(1)
-    for xi, e in zip(x, exps):
-        out *= xi ** int(e)
-    return out
+def _fractions(V, q):
+    return tuple(Fraction(v, q) for v in V)
 
 
-def _null_basis(Af, Bf, x, y):
-    xf = numpy.array([float(v) for v in x])
-    yf = numpy.array([float(v) for v in y])
+def _floats(V, q):
+    # int / int rounds correctly, so these equal the floats of the Fractions
+    return numpy.array([v / q for v in V])
+
+
+def _monomial(V, exps):
+    """(p, d) with prod_i V_i^e_i = p / d, for positive integers V_i."""
+    p = d = 1
+    for v, e in zip(V, exps):
+        if e > 0:
+            p *= v**e
+        elif e < 0:
+            d *= v**-e
+    return p, d
+
+
+def _exact_map(A, kappa, mono):
+    """f_kappa(x) = A diag(kappa) x^B over the rationals, from the monomials x^B."""
+    return [sum((a * k * v for a, k, v in zip(row, kappa, mono)), Fraction(0)) for row in A.entries]
+
+
+def _float_kernel(Af, Bf, xf, yf):
+    """Singular values and right singular vectors of A diag(x^B - y^B) in floats."""
     d = numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf))
     D = Af * d
+    if not D.size:
+        return numpy.array([]), numpy.eye(Bf.shape[0])
     _, sing, vt = numpy.linalg.svd(D)
-    tol = 1e-9 * max(1.0, sing[0] if len(sing) else 0.0)
+    return sing, vt
+
+
+def _null_vectors(sing, vt, tol):
     return [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < tol]
 
 
-def _screen_positive_kernel(Af, Bf, x, y):
+def _screen_positive_kernel(Af, Bf, xf, yf):
     """Cheap float filter: can ker(A diag(x^B - y^B)) plausibly hold a positive vector?
 
     Only ever skips clear no-instances; anything ambiguous (a coordinate near
-    zero, nullspace dimension above one) goes to the exact decision.
+    zero, nullspace dimension above one) goes to the exact decision. The
+    tolerance is relative to the largest singular value.
     """
-    null = _null_basis(Af, Bf, x, y)
+    sing, vt = _float_kernel(Af, Bf, xf, yf)
+    null = _null_vectors(sing, vt, 1e-9 * max(1.0, sing[0] if len(sing) else 0.0))
     if not null:
         return False
     if len(null) == 1:
@@ -342,17 +398,11 @@ def _screen_positive_kernel(Af, Bf, x, y):
     return True
 
 
-def _float_collision_kappa(A, B, x, y):
-    """Float screen for a positive kappa with f_kappa(x) = f_kappa(y); exactified."""
-    Af = numpy.array([[float(v) for v in row] for row in A.entries])
-    Bf = numpy.array([[float(v) for v in row] for row in B.entries])
-    xf = numpy.array([float(v) for v in x])
-    yf = numpy.array([float(v) for v in y])
-    d = numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf))
-    D = Af * d
-    _, sing, vt = numpy.linalg.svd(D) if D.size else (None, numpy.array([]), numpy.eye(A.cols))
-    null = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < 1e-10]
-    for v in null:
+def _float_collision_kappa(Af, Bf, xf, yf):
+    """A positive float kernel vector of A diag(x^B - y^B), rounded to rationals,
+    or None. The tolerance on the singular values is absolute."""
+    sing, vt = _float_kernel(Af, Bf, xf, yf)
+    for v in _null_vectors(sing, vt, 1e-10):
         if numpy.all(v > 1e-9):
             return [Fraction(float(k)).limit_denominator(10**9) for k in v]
         if numpy.all(v < -1e-9):

@@ -186,6 +186,43 @@ def test_evaluate_map():
     assert abs(vals[0] - 2) < mp.mpf("1e-70")
 
 
+def test_evaluate_map_leaves_global_interval_context(monkeypatch):
+    """evaluate_map works in a private interval context per precision: it
+    neither reads nor sets the global mpmath.iv, whose precision therefore
+    does not change the result."""
+    import mpmath
+
+    A, B = M([[1, -1], [2, 1]]), M([["1/2", "1"], ["3", "-1/3"]])
+    kappa, x = [Fraction(2, 3), Fraction(5)], [Fraction(7, 2), Fraction(1, 9)]
+    first = evaluate_map(A, B, kappa, x, 256)
+    monkeypatch.setattr(mpmath.iv, "prec", 20)
+    assert evaluate_map(A, B, kappa, x, 256) == first
+    assert mpmath.iv.prec == 20
+    monkeypatch.setattr(mpmath, "iv", None)
+    assert evaluate_map(A, B, kappa, x, 256) == first
+    low = evaluate_map(A, B, kappa, x, 64)
+    assert low != first and abs(low[0][0] - first[0][0]) < mp.mpf("1e-15")
+
+
+def test_subspace_presentations_computed_once(monkeypatch):
+    """dim, image_presentation and kernel_presentation run rref only once each."""
+    from signject import ratmat
+
+    calls = [0]
+
+    def counting(M_, _rref=ratmat.rref):
+        calls[0] += 1
+        return _rref(M_)
+
+    monkeypatch.setattr(ratmat, "rref", counting)
+    for S_ in (Subspace(C=M([[1, 2], [0, 1], [1, 3]])), Subspace(Z=M([[1, -1, 0]]))):
+        first = (S_.dim(), S_.image_presentation(), S_.kernel_presentation())
+        before = calls[0]
+        assert (S_.dim(), S_.image_presentation(), S_.kernel_presentation()) == first
+        assert calls[0] == before
+    assert calls[0] > 0
+
+
 def test_counterexample_construction_direct():
     A = M([[1, -1]])
     B = M.identity(2)

@@ -11,6 +11,11 @@ CLI calls of acceptance criterion 3's route pool (``--S-image`` and
 sampling oracle on pool instances 4 and 9 at 200 samples, whose collisions
 come from exact LP witnesses.
 
+``oracle.json`` pins, by candidate and violation counts and the sha256 of
+the report bytes, the sampling oracle's ``SearchReport`` on the branches the
+route pool does not reach: S a union of orthants, and non-integral B (the
+float kernel screen and the interval residual check).
+
 ``matroid.json`` pins the same way ``covectors``, ``cocircuits`` and
 ``chirotope`` on the three configurations of the benchmark's ``sign_search``
 workload and on 30 seeded configurations with fractional entries, some of
@@ -38,9 +43,10 @@ import pytest
 from signject import engine, ratmat
 from signject.cli import main
 from signject.crn import parse_network, stoichiometry
-from signject.engine import Subspace
+from signject.engine import FullSpace, OrthantUnion, Subspace
 from signject.oracle import sampled_injectivity_search
 from signject.ratmat import RationalMatrix, rank, rref
+from signject.signs import SignVector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -242,15 +248,65 @@ def route_pool_outputs(workdir: Path):
         A, B = RationalMatrix(pool[i][0]), RationalMatrix(pool[i][1])
         rep = sampled_injectivity_search(A, B, S=Subspace(C=A), samples=ORACLE_SAMPLES,
                                          seed=ROUTE_SEED + i)
-        payload = {
-            "samples": rep.samples,
-            "seed": rep.seed,
-            "candidates": rep.candidates,
-            "violations": [[[str(v) for v in part] for part in violation]
-                           for violation in rep.violations],
-        }
-        data = (json.dumps(payload) + "\n").encode()
-        out[f"oracle/{i}"] = [3 if rep.violations else 0, hashlib.sha256(data).hexdigest()]
+        out[f"oracle/{i}"] = [3 if rep.violations else 0, hashlib.sha256(report_bytes(rep)).hexdigest()]
+    return out
+
+
+def report_bytes(rep):
+    """A SearchReport as JSON bytes, every rational as its string."""
+    payload = {
+        "samples": rep.samples,
+        "seed": rep.seed,
+        "candidates": rep.candidates,
+        "violations": [[[str(v) for v in part] for part in violation]
+                       for violation in rep.violations],
+    }
+    return (json.dumps(payload) + "\n").encode()
+
+
+def _orthants(*texts):
+    return OrthantUnion(tuple(SignVector.parse(t) for t in texts))
+
+
+def oracle_cases():
+    """(name, A, B, S): the sampling oracle's branches that the route pool leaves out.
+
+    S is an OrthantUnion in the ``orthant/*`` cases, and B is non-integral in
+    the ``fractional/*`` cases, which take the float kernel screen and the
+    interval residual check. With A = (4, -3) and B = (1/2, 1/2) the float
+    kernel vector (3/5, 4/5) is recovered exactly, so those cases report
+    violations; the others report candidates whose rounded kappa fails the
+    residual check."""
+    pool = route_pool()
+    half = [[Fraction(1, 2)], [Fraction(1, 2)]]
+    cases = []
+    for i in ORACLE_CASES:
+        A, B = RationalMatrix(pool[i][0]), RationalMatrix(pool[i][1])
+        cases.append((f"orthant/{i}", A, B, OrthantUnion(Subspace(C=A).nonzero_sign_vectors())))
+    cases += [
+        ("orthant/quadratic", RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), _orthants("+", "-")),
+        ("fractional/full", RationalMatrix([[4, -3]]), RationalMatrix(half), FullSpace()),
+        ("fractional/full/rounded", RationalMatrix([[1, -1]]),
+         RationalMatrix([[Fraction(1, 2)], [1]]), FullSpace()),
+        ("fractional/subspace", RationalMatrix([[4, -3]]),
+         RationalMatrix([row + [1] for row in half]), Subspace(C=RationalMatrix([[1], [-1]]))),
+        ("fractional/subspace/rounded", RationalMatrix([[1, -1, 0], [0, 1, -1]]),
+         RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]),
+         Subspace(C=RationalMatrix([[1], [1]]))),
+        ("fractional/orthant", RationalMatrix([[4, -3]]),
+         RationalMatrix([row + [Fraction(3, 2)] for row in half]), _orthants("+-", "-+", "++")),
+        ("fractional/orthant/rounded", RationalMatrix([[1, -1]]),
+         RationalMatrix([[Fraction(3, 2)], [Fraction(1, 2)]]), _orthants("+", "-")),
+    ]
+    return cases
+
+
+def oracle_outputs():
+    """{case: [candidates, violations, sha256 of the report bytes]} at 200 samples."""
+    out = {}
+    for k, (name, A, B, S) in enumerate(oracle_cases()):
+        rep = sampled_injectivity_search(A, B, S=S, samples=ORACLE_SAMPLES, seed=ROUTE_SEED + k)
+        out[name] = [rep.candidates, len(rep.violations), hashlib.sha256(report_bytes(rep)).hexdigest()]
     return out
 
 
@@ -343,6 +399,11 @@ def test_route_pool_golden(tmp_path, capsys):
     assert not differing, f"{len(differing)} route-pool outputs differ, first {differing[:5]}"
 
 
+def test_oracle_golden():
+    expected = json.loads((GOLDEN / "oracle.json").read_text())
+    assert oracle_outputs() == expected
+
+
 def test_matroid_golden(tmp_path, capsys):
     got = matroid_outputs(tmp_path)
     capsys.readouterr()
@@ -368,3 +429,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = matroid_outputs(Path(tmp))
     (GOLDEN / "matroid.json").write_text(json.dumps(outputs, indent=1) + "\n")
+    (GOLDEN / "oracle.json").write_text(json.dumps(oracle_outputs(), indent=1) + "\n")

@@ -1,12 +1,18 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
+from mpmath import mp
 
-from signject.engine import FullSpace, Subspace, check_injectivity
-from signject.errors import TooLarge
+from signject import oracle
+from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
+from signject.errors import InternalError, TooLarge
+from signject.feasibility import FEASIBLE, FeasibilityResult, StrictSystem, solve_strict
 from signject.oracle import (
+    SearchReport,
     brute_force_sign_set,
     cofactor_det,
     fm_strict_feasible,
@@ -95,3 +101,153 @@ def test_oracles_never_imported_by_verdict_code():
                 raise AssertionError(f"{name}.py imports the oracle module")
             if isinstance(node, ast.Import) and any("oracle" in a.name for a in node.names):
                 raise AssertionError(f"{name}.py imports the oracle module")
+
+
+# -- the sampling loop against a reference ------------------------------------
+
+
+def reference_search(A, B, S=None, samples=1000, seed=0, prec=256):
+    """The sampling loop as it was before the search moved to integers: Fraction
+    samples, one exact LP per screened sample, and the 256-bit interval residual
+    check for every candidate, integral B included."""
+    rng = random.Random(seed)
+    m, r = A.rows, A.cols
+    n = B.cols
+    integral_B = all(v.denominator == 1 for row in B.entries for v in row)
+    basis = orthants = None
+    if isinstance(S, Subspace):
+        if S.dim() == 0:
+            return SearchReport(samples=samples, seed=seed, candidates=0)
+        basis = S.image_presentation()
+    elif isinstance(S, OrthantUnion):
+        orthants = S.T
+
+    def draw_fraction():
+        return Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4]))
+
+    Af = numpy.array([[float(v) for v in row] for row in A.entries])
+    Bf = numpy.array([[float(v) for v in row] for row in B.entries])
+    candidates = 0
+    violations = []
+    for _ in range(samples):
+        if basis is not None:
+            z = basis.apply([draw_fraction() for _ in range(basis.cols)])
+        elif orthants is not None:
+            tau = rng.choice(orthants)
+            z = tuple(s * abs(draw_fraction()) for s in tau)
+        else:
+            z = tuple(draw_fraction() for _ in range(n))
+        y = tuple(Fraction(rng.randint(1, 12), rng.choice([1, 2])) for _ in range(n))
+        x = tuple(a + b for a, b in zip(y, z))
+        if x == y or any(v <= 0 for v in x):
+            continue
+        xf = numpy.array([float(v) for v in x])
+        yf = numpy.array([float(v) for v in y])
+        d = numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf))
+        _, sing, vt = numpy.linalg.svd(Af * d)
+        if integral_B:
+            tol = 1e-9 * max(1.0, sing[0] if len(sing) else 0.0)
+            null = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < tol]
+            if not null:
+                continue
+            v = null[0]
+            if len(null) == 1 and numpy.all(numpy.abs(v) > 1e-9) and numpy.any(v > 0) and numpy.any(v < 0):
+                continue
+            diffs = [_power(x, B.entries[j]) - _power(y, B.entries[j]) for j in range(r)]
+            D = RationalMatrix([[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r)
+            res = solve_strict(StrictSystem(nvars=r, equalities=D, comp_signs=SignVector([1] * r)))
+            if not res.feasible:
+                continue
+            kq = res.witness
+        else:
+            null = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < 1e-10]
+            kq = None
+            for v in null:
+                if numpy.all(v > 1e-9) or numpy.all(v < -1e-9):
+                    kq = [Fraction(float(abs(k))).limit_denominator(10**9) for k in v]
+                    break
+            if kq is None:
+                continue
+        candidates += 1
+        with mp.workprec(prec):
+            vx, ex = evaluate_map(A, B, kq, [mp.mpf(v.numerator) / v.denominator for v in x], prec)
+            vy, ey = evaluate_map(A, B, kq, [mp.mpf(v.numerator) / v.denominator for v in y], prec)
+            resid = max(abs(a - b) for a, b in zip(vx, vy)) + ex + ey
+            if resid / max(max(abs(v) for v in vx), mp.mpf(1)) < mp.mpf("1e-30"):
+                violations.append((tuple(kq), x, y))
+    return SearchReport(samples=samples, seed=seed, candidates=candidates, violations=tuple(violations))
+
+
+def _power(x, exps):
+    out = Fraction(1)
+    for xi, e in zip(x, exps):
+        out *= xi ** int(e)
+    return out
+
+
+def _random_instances(rnd, count):
+    """(A, B, S): integer A; B integral, or with halves and thirds; S the full
+    space, a subspace given by an image or a kernel, or a union of orthants."""
+    out = []
+    for k in range(count):
+        n, r = rnd.randint(1, 3), rnd.randint(1, 3)
+        m = rnd.randint(1, r)
+        A = RationalMatrix([[rnd.randint(-3, 3) for _ in range(r)] for _ in range(m)])
+        if (k // 4) % 2:
+            B = RationalMatrix([[Fraction(rnd.randint(-4, 4), rnd.choice([1, 2, 3])) for _ in range(n)]
+                                for _ in range(r)])
+        else:
+            B = RationalMatrix([[rnd.randint(-3, 3) for _ in range(n)] for _ in range(r)])
+        kind = k % 4
+        if kind == 0:
+            S = FullSpace()
+        elif kind == 1:
+            k = rnd.randint(1, n)
+            S = Subspace(C=RationalMatrix([[Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(k)]
+                                           for _ in range(n)]))
+        elif kind == 2:
+            S = Subspace(Z=RationalMatrix([[rnd.randint(-2, 2) for _ in range(n)]]))
+        else:
+            T = {SignVector([rnd.choice((-1, 0, 1)) for _ in range(n)]) for _ in range(3)}
+            S = OrthantUnion(tuple(t for t in T if not t.is_zero()) or (SignVector([1] * n),))
+        out.append((A, B, S))
+    return out
+
+
+# instances whose LPs or float kernels give collisions, so the violation
+# branches run: f = k1 x^2 - k2 x (in x_1 alone when x - y lies on the first
+# axis), and A = (4, -3) with x^(1/2) twice
+COLLIDING = [
+    (RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), FullSpace()),
+    (RationalMatrix([[1, -1]]), RationalMatrix([[2, 0], [1, 1]]),
+     Subspace(C=RationalMatrix([[Fraction(1, 2)], [0]]))),
+    (RationalMatrix([[1, -1]]), RationalMatrix([[2, 0], [1, 1]]), Subspace(Z=RationalMatrix([[0, 3]]))),
+    (RationalMatrix([[4, -3]]), RationalMatrix([[Fraction(1, 2)], [Fraction(1, 2)]]), FullSpace()),
+    (RationalMatrix([[4, -3]]), RationalMatrix([[Fraction(1, 2), 2], [Fraction(1, 2), 2]]),
+     OrthantUnion((SignVector.parse("+-"), SignVector.parse("-+")))),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_matches_reference_loop(seed):
+    """Same draws, same candidates, same violations, for every kind of S and B."""
+    cases = COLLIDING + _random_instances(random.Random(f"oracle-{seed}"), 12)
+    found = 0
+    for A, B, S in cases:
+        got = sampled_injectivity_search(A, B, S=S, samples=80, seed=seed)
+        assert got == reference_search(A, B, S=S, samples=80, seed=seed), (A, B, S)
+        found += len(got.violations)
+    assert found
+
+
+def test_wrong_lp_witness_raises(monkeypatch):
+    """The exact residual check catches a kappa that does not collide."""
+    def doubled_first(system):
+        res = solve_strict(system)
+        if not res.feasible:
+            return res
+        return FeasibilityResult(FEASIBLE, witness=(2 * res.witness[0],) + tuple(res.witness[1:]))
+
+    monkeypatch.setattr(oracle, "solve_strict", doubled_first)
+    with pytest.raises(InternalError):
+        sampled_injectivity_search(RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
