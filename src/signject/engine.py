@@ -533,14 +533,6 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     return Verdict(True, "sign_search", certificate=certificate, warnings=tuple(warnings))
 
 
-def _counterexample_via_search(A, B, T, S, method, certificate, warnings, prec):
-    """On a failed minors-route verdict, locate a feasible pair for the witness."""
-    verdict = _sign_search(A, B, T, S, warnings, prec)
-    if verdict.injective:
-        raise InternalError("minor route failed but sign search found no feasible pair")
-    return Verdict(False, method, certificate=certificate, counterexample=verdict.counterexample, warnings=tuple(warnings))
-
-
 def check_injectivity(
     A: RationalMatrix, B: RationalMatrix, S, prec: int = DEFAULT_PRECISION_BITS
 ) -> Verdict:
@@ -569,10 +561,10 @@ def check_injectivity(
         dim = S.dim()
         if dim == 0:
             return Verdict(True, "minors", certificate={"empty_condition": True}, warnings=tuple(warnings))
-        s = rank(A)
-        if dim != s:
+        Aprime = _pivot_rows(A)
+        if dim != Aprime.rows:
             return _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings, prec)
-        return _check_subspace_minors(A, B, S, s, warnings, prec)
+        return _check_subspace_minors(A, Aprime, B, S, warnings, prec)
     raise TypeError(f"unknown subset specification {type(S).__name__}")
 
 
@@ -630,18 +622,31 @@ def _full_space_counterexample(A, B, shared, S, prec):
     return construct_counterexample(A, B, S, rho, tau, witness, prec)
 
 
-def _check_subspace_minors(A, B, S, s, warnings, prec):
+def _check_subspace_minors(A, Aprime, B, S, warnings, prec):
+    """dim S = rank A: the minors and det-polynomial routes decide, and a failed
+    verdict takes its counterexample from the sign search.
+
+    Aprime is _pivot_rows(A). If the sign search hits its LP budget, the decided
+    verdict is returned with its certificate, no counterexample and a warning.
+    """
     C = S.image_presentation()
     Z = S.kernel_presentation()
-    Aprime = _pivot_rows(A)
-    Atilde = C @ Aprime
-    holds, ledger = check_minors(Atilde, B, s)
+    holds, ledger = check_minors(C @ Aprime, B, Aprime.rows)
     poly = gamma_det_poly(Aprime, B, Z if Z.rows else None)
     if det_condition(poly) != holds:
         raise InternalError("the (min) and (det) routes disagree; internal bug")
     certificate = {"minors": ledger, "det_poly_sign_count": len(poly.signs())}
     if holds:
         return Verdict(True, "minors", certificate=certificate, warnings=tuple(warnings))
-    return _counterexample_via_search(
-        A, B, S.nonzero_sign_vectors(), S, "minors", certificate, warnings, prec
-    )
+    try:
+        verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings, prec)
+    except SearchBudgetExceeded:
+        warnings.append(
+            f"no counterexample: the (mu, tau) sign search stopped at its {SIGN_SEARCH_LP_BUDGET:,}-LP "
+            "budget after the minors route had decided"
+        )
+        return Verdict(False, "minors", certificate=certificate, warnings=tuple(warnings))
+    if verdict.injective:
+        raise InternalError("minor route failed but sign search found no feasible pair")
+    return Verdict(False, "minors", certificate=certificate, counterexample=verdict.counterexample,
+                   warnings=tuple(warnings))

@@ -142,19 +142,24 @@ def test_size_guard_exit_code(tmp_path, capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("A, B, T, expected_code", [
+@pytest.mark.parametrize("A, B, subset, expected_code", [
     ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]], "--\n-0\n-+\n0-\n0+\n+-\n+0\n++\n", 0),
     ([[1, -1]], [[1, 0], [0, 1]], "+-\n++\n", 3),
-], ids=["birch", "counterexample"])
-def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, T, expected_code):
+    ([[1, -1]], [[1, 0], [0, 1]], M([[1], [1]]), 3),
+], ids=["birch", "counterexample", "image"])
+def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, subset, expected_code):
     import signject.engine as engine
 
     a = write(tmp_path, "A.json", M(A))
     b = write(tmp_path, "B.json", M(B))
-    t = tmp_path / "T.txt"
-    t.write_text(T)
+    if isinstance(subset, str):
+        t = tmp_path / "T.txt"
+        t.write_text(subset)
+        flag = ["--S-signs", str(t)]
+    else:
+        flag = ["--S-image", write(tmp_path, "C.json", subset)]
     out = tmp_path / "out.json"
-    argv = ["--output", str(out), "injectivity", "--A", a, "--B", b, "--S-signs", str(t)]
+    argv = ["--output", str(out), "injectivity", "--A", a, "--B", b, *flag]
     solve = engine.feasible_sign_pair
     lps = []
     monkeypatch.setattr(engine, "feasible_sign_pair", lambda *args: lps.append(args) or solve(*args))
@@ -168,14 +173,43 @@ def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, T, expected_cod
     assert main(argv) == expected_code
     assert out.read_bytes() == expected
     out.unlink()
-    # one LP less stops the search with the size-guard exit code and no JSON
     monkeypatch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", needed - 1)
     capsys.readouterr()
-    assert main(argv) == 4
-    _, err = capsys.readouterr()
-    assert not out.exists()
-    assert err.startswith("error: ") and err.count("\n") == 1
+    code = main(argv)
     assert len(lps) == 3 * needed - 1
+    if flag[0] == "--S-signs":
+        # one LP less stops the search with the size-guard exit code and no JSON
+        assert code == 4
+        _, err = capsys.readouterr()
+        assert not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    # the minors route has decided: the verdict stays, without its counterexample
+    golden = json.loads((Path(__file__).parent / "golden" / "inj_image_minors_fail.json").read_text())
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, SCHEMA)
+    assert code == 3
+    assert payload["injective"] is False and payload["method"] == "minors"
+    assert payload["certificate"] == golden["certificate"]
+    assert payload["counterexample"] is None
+    assert payload["warnings"] == [
+        f"no counterexample: the (mu, tau) sign search stopped at its {needed - 1:,}-LP budget "
+        "after the minors route had decided"
+    ]
+
+
+@pytest.mark.parametrize("B", [[["1"], ["2"]], [["1/2"], ["2"]]], ids=["integral", "fractional"])
+def test_oracle_sample_without_rows(tmp_path, capsys, B):
+    """A 0 x 2 matrix A: f_kappa is the empty map, so every admissible pair
+    collides with kappa = 1, in both branches of the sampling search."""
+    a = tmp_path / "A.json"
+    a.write_text(json.dumps({"rows": 0, "cols": 2, "entries": []}))
+    b = tmp_path / "B.json"
+    b.write_text(json.dumps({"rows": 2, "cols": 1, "entries": B}))
+    code, payload, err = run_cli(["oracle", "sample", "--A", str(a), "--B", str(b), "--samples", "20"], capsys)
+    assert code == 3 and err == "17 verified violations in 20 samples\n"
+    assert payload["candidates"] == 17
+    assert all(v["kappa"] == ["1", "1"] and v["x"] != v["y"] for v in payload["violations"])
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ come from exact LP witnesses.
 ``oracle.json`` pins, by candidate and violation counts and the sha256 of
 the report bytes, the sampling oracle's ``SearchReport`` on the branches the
 route pool does not reach: S a union of orthants, and non-integral B (the
-float kernel screen and the interval residual check).
+float kernel vector and the interval residual check).
 
 ``matroid.json`` pins the same way ``covectors``, ``cocircuits`` and
 ``chirotope`` on the three configurations of the benchmark's ``sign_search``
@@ -272,7 +272,7 @@ def oracle_cases():
     """(name, A, B, S): the sampling oracle's branches that the route pool leaves out.
 
     S is an OrthantUnion in the ``orthant/*`` cases, and B is non-integral in
-    the ``fractional/*`` cases, which take the float kernel screen and the
+    the ``fractional/*`` cases, which take the float kernel vector and the
     interval residual check. With A = (4, -3) and B = (1/2, 1/2) the float
     kernel vector (3/5, 4/5) is recovered exactly, so those cases report
     violations; the others report candidates whose rounded kappa fails the

@@ -251,3 +251,21 @@ def test_wrong_lp_witness_raises(monkeypatch):
     monkeypatch.setattr(oracle, "solve_strict", doubled_first)
     with pytest.raises(InternalError):
         sampled_injectivity_search(RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
+
+
+def test_integral_search_makes_no_numpy_call(monkeypatch):
+    """Integral B is decided by the pattern cache and exact LPs alone."""
+    cases = COLLIDING[:3] + [
+        (M.identity(2), M.identity(2), FullSpace()),
+        (M([[1, -1, 0], [0, 1, -1]]), M([[1, 0], [0, 1], [1, 1]]),
+         OrthantUnion((S("+-"), S("-+"), S("++")))),
+    ]
+    expected = [sampled_injectivity_search(A, B, S=T, samples=80, seed=3) for A, B, T in cases]
+    assert any(rep.found_violation for rep in expected)
+    monkeypatch.setattr(oracle, "numpy", _NoNumpy())
+    assert [sampled_injectivity_search(A, B, S=T, samples=80, seed=3) for A, B, T in cases] == expected
