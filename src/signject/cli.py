@@ -71,8 +71,11 @@ def _emit(payload: dict, args, summary: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
@@ -218,7 +221,8 @@ def _cmd_oracle(args) -> int:
         return EXIT_HOLDS
     A = _load_matrix(args.A)
     B = _load_matrix(args.B)
-    report = oracle.sampled_injectivity_search(A, B, samples=args.samples, seed=args.seed)
+    report = oracle.sampled_injectivity_search(A, B, samples=args.samples, seed=args.seed,
+                                               prec=args.precision)
     _emit(
         {
             "command": "oracle-sample",

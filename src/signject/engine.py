@@ -36,8 +36,8 @@ from .ratmat import (
     det,
     gale_dual,
     integer_det,
-    integer_pivots,
     integer_rows,
+    integer_rref,
     kernel_basis,
     permutation_sign_tau,
     rank,
@@ -195,7 +195,7 @@ def _paired_products(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     """
     n, r = Atilde.rows, Atilde.cols
     a_rows, a_scales = integer_rows(Atilde)
-    P, Q, d = integer_pivots(a_rows)
+    _, P, Q, d = integer_rref(a_rows)
     if len(Q) < s:
         return
     if len(Q) > s:
@@ -230,7 +230,7 @@ def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     failure, the first pair whose product has the other sign.
 
     One fraction-free elimination of Atilde's integer rows (``integer_rows``,
-    ``integer_pivots``) gives its rank k, and the scan depends on it:
+    ``integer_rref``) gives its rank k, and the scan depends on it:
 
     - k < s: every s-minor of Atilde vanishes, and no pair is scanned;
     - k = s: Atilde = C R, with C its pivot columns and R the nonzero rows of

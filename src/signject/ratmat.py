@@ -1,12 +1,13 @@
 """Exact rational matrices: ranks, kernels, minors, Gale duals, permutation signs.
 
 Entries are :class:`fractions.Fraction`; nothing here ever rounds.
-``integer_rows`` clears each row of its denominators: ``det``, the
-paired-minor scans in ``engine`` and the cocircuit normals in ``matroid``
-take their integer rows from it. One fraction-free (Bareiss) elimination step,
-``_eliminate``, serves both ``integer_det`` and ``integer_pivots``, which
-finds a rank, a nonsingular square submatrix of that size and its
-determinant. The other routines work over Fraction.
+``integer_rows`` clears each row of its denominators, and every elimination
+runs on those integer rows. ``integer_rref`` is one fraction-free
+Gauss-Jordan elimination: it gives the reduced form, the pivots and their
+determinant, and is behind ``rref`` (so ``rank``, ``kernel_basis``,
+``column_basis`` and ``gale_dual``) and the paired-minor scans in ``engine``.
+``integer_det``, the same elimination run forward only, is behind ``det`` and
+the cocircuit normals in ``matroid``.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import (NoComplement, NotGaleDual, ParseError, RankDeficient, ShapeMismatch,
                      SizeMismatch, VerificationFailed)
@@ -233,26 +234,13 @@ class IndexSet:
 
 
 def rref(M: RationalMatrix):
-    """Reduced row-echelon form; returns (rref matrix, pivot column tuple)."""
-    grid = [list(row) for row in M.entries]
-    pivots = []
-    pr = 0
-    for pc in range(M.cols):
-        pivot_row = next((i for i in range(pr, M.rows) if grid[i][pc] != 0), None)
-        if pivot_row is None:
-            continue
-        grid[pr], grid[pivot_row] = grid[pivot_row], grid[pr]
-        inv = grid[pr][pc]
-        grid[pr] = [e / inv for e in grid[pr]]
-        for i in range(M.rows):
-            if i != pr and grid[i][pc] != 0:
-                factor = grid[i][pc]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == M.rows:
-            break
-    return RationalMatrix(grid, M.rows, M.cols), tuple(pivots)
+    """Reduced row-echelon form; returns (rref matrix, pivot column tuple).
+
+    ``integer_rref`` of the integer rows of M, divided by its d: scaling a row
+    does not change the rref, which is unique.
+    """
+    rows, _, Q, d = integer_rref(integer_rows(M)[0])
+    return RationalMatrix([[Fraction(a, d) for a in row] for row in rows], M.rows, M.cols), tuple(Q)
 
 
 def rank(M: RationalMatrix) -> int:
@@ -286,19 +274,44 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_columns(columns, rows=M.cols)
 
 
-def _eliminate(grid, pivot_row, prev):
-    """One Bareiss step: clear the first column of each row of grid with
-    pivot_row and drop that column. Every division by the previous pivot prev
-    is exact, so every entry stays an integer: after each step, each entry is
-    the minor on the pivot rows and columns so far plus its own row and column.
+def integer_rref(grid):
+    """(rows, P, Q, d) for an integer matrix given as a list of rows, by
+    fraction-free Gauss-Jordan elimination (Bareiss, run above the pivot as
+    well as below it). Q is the pivot columns of its rref, so len(Q) is the
+    rank. P is the rows taken as pivots, in the order taken, and d is
+    det(M_{P,Q}) with the rows in that order (1 when the rank is 0).
+    rows[:len(Q)] are d times the nonzero rows of the rref; the others are 0.
+
+    Each step takes the first row not yet taken with a nonzero entry p in the
+    column, and every other row becomes (p*a - row[c]*b) // prev, with prev
+    the previous pivot. Every division is exact, and the last pivot is d.
     """
-    p = pivot_row[0]
-    return [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], pivot_row[1:])] for row in grid]
+    rows = list(grid)
+    order = list(range(len(rows)))  # the input index of each row
+    Q = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        t = len(Q)
+        k = next((i for i in range(t, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        # move the pivot row up to t, keeping the rows not taken in input order
+        pivot_row = rows.pop(k)
+        rows.insert(t, pivot_row)
+        order.insert(t, order.pop(k))
+        Q.append(c)
+        p = pivot_row[c]
+        rows = [row if i == t else [(p * a - row[c] * b) // prev for a, b in zip(row, pivot_row)]
+                for i, row in enumerate(rows)]
+        prev = p
+        if t + 1 == len(rows):
+            break
+    return rows, order[:len(Q)], Q, prev
 
 
 def integer_det(grid) -> int:
     """Determinant of a square integer matrix, given as a list of rows, by
-    fraction-free elimination (``_eliminate``). The empty matrix has
+    fraction-free elimination run forward only. The empty matrix has
     determinant 1.
     """
     if not grid:
@@ -306,7 +319,9 @@ def integer_det(grid) -> int:
     grid = list(grid)
     sign = 1
     prev = 1
-    # each step eliminates the first column and drops the pivot row
+    # each Bareiss step clears the first column with the pivot row and drops
+    # that row and column; every division by the previous pivot is exact, and
+    # each entry is the minor on the pivot rows and columns so far plus its own
     while len(grid) > 1:
         if grid[0][0] == 0:
             swap = next((i for i in range(1, len(grid)) if grid[i][0] != 0), None)
@@ -314,41 +329,10 @@ def integer_det(grid) -> int:
                 return 0
             grid[0], grid[swap] = grid[swap], grid[0]
             sign = -sign
-        pivot_row = grid[0]
-        grid = _eliminate(grid[1:], pivot_row, prev)
-        prev = pivot_row[0]
+        p, *tail = grid[0]
+        grid = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)] for row in grid[1:]]
+        prev = p
     return sign * grid[0][0]
-
-
-def integer_pivots(grid):
-    """(P, Q, d) for an integer matrix given as a list of rows: Q is the pivot
-    columns of its rref, P is rows (increasing) such that the submatrix on rows
-    P and columns Q is nonsingular, and d is its determinant; len(Q) is the
-    rank. d = 1 when the rank is 0.
-
-    The same fraction-free elimination as ``integer_det``, on each column in
-    turn, skipping a column with no pivot. The last pivot is the determinant
-    with the rows in the order they were taken, so d is it times the sign of
-    that order.
-    """
-    rows = list(range(len(grid)))  # the index of each row not yet taken
-    grid = list(grid)
-    P, Q = [], []
-    prev = 1
-    for c in range(len(grid[0]) if grid else 0):
-        k = next((i for i, row in enumerate(grid) if row[0] != 0), None)
-        if k is None:
-            grid = [row[1:] for row in grid]
-            continue
-        P.append(rows.pop(k))
-        Q.append(c)
-        pivot_row = grid.pop(k)
-        grid = _eliminate(grid, pivot_row, prev)
-        prev = pivot_row[0]
-        if not grid:
-            break
-    inversions = sum(p > q for i, p in enumerate(P) for q in P[i + 1:])
-    return sorted(P), Q, -prev if inversions % 2 else prev
 
 
 def integer_rows(M: RationalMatrix):
@@ -392,34 +376,19 @@ def permutation_sign_tau(I: IndexSet, n: int) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _clear_row(row):
-    """Scale a rational row to coprime integers with positive leading entry."""
-    denom_lcm = 1
-    for e in row:
-        denom_lcm = denom_lcm * e.denominator // gcd(denom_lcm, e.denominator)
-    ints = [int(e * denom_lcm) for e in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
-
-
 def gale_dual(C: RationalMatrix) -> RationalMatrix:
-    """Z of shape (n-s) x n with im(C) = ker(Z), deterministic normalization."""
+    """Z of shape (n-s) x n with im(C) = ker(Z), deterministic normalization:
+    the rref of the left kernel of C, each row cleared of its denominators."""
     n, s = C.rows, C.cols
-    if rank(C) < s:
+    left_kernel = kernel_basis(C.transpose())  # columns w with w^T C = 0
+    if left_kernel.cols != n - s:
         raise RankDeficient(f"C has rank below its column count {s}")
     if s >= n:
         raise NoComplement("subspace is full-dimensional; no Gale dual exists")
-    left_kernel = kernel_basis(C.transpose())  # columns w with w^T C = 0
-    Z_raw = left_kernel.transpose()
-    Z_rref, _ = rref(Z_raw)
-    Z = RationalMatrix([_clear_row(row) for row in Z_rref.entries], Z_raw.rows, n)
+    # rref rows lead with 1, so their integer rows are primitive with a
+    # positive leading entry
+    Z_rref, _ = rref(left_kernel.transpose())
+    Z = RationalMatrix(integer_rows(Z_rref)[0], n - s, n)
     if not (Z @ C).is_zero() or rank(Z) != n - s:
         raise VerificationFailed("computed Gale dual does not have kernel im(C)")
     return Z

@@ -136,6 +136,16 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "precision" in err
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    a = write(tmp_path, "A.json", M([[1, 0], [0, 1]]))
+    b = write(tmp_path, "B.json", M([[1, 0], [0, 1]]))
+    out = tmp_path / "missing" / "out.json"
+    code, payload, err = run_cli(["--output", str(out), "minors", "--A", a, "--B", b, "--s", "1"], capsys)
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_size_guard_exit_code(tmp_path, capsys):
     wide = write(tmp_path, "W.json", M([[1] * 17]))
     code, _, _ = run_cli(["covectors", "--A", wide], capsys)
@@ -210,6 +220,30 @@ def test_oracle_sample_without_rows(tmp_path, capsys, B):
     assert code == 3 and err == "17 verified violations in 20 samples\n"
     assert payload["candidates"] == 17
     assert all(v["kappa"] == ["1", "1"] and v["x"] != v["y"] for v in payload["violations"])
+
+
+def test_oracle_sample_precision(tmp_path, capsys, monkeypatch):
+    """oracle sample passes --precision, else $SIGNJECT_PRECISION_BITS, else
+    256, to the sampling search."""
+    import signject.oracle as oracle
+
+    search = oracle.sampled_injectivity_search
+    precs = []
+
+    def recording(*args, **kwargs):
+        precs.append(kwargs["prec"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sampled_injectivity_search", recording)
+    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
+    argv = ["oracle", "sample", "--A", write(tmp_path, "A.json", M([[1, -1]])),
+            "--B", write(tmp_path, "B.json", M([["1/2"], ["2"]])), "--samples", "5"]
+    outputs = [run_cli(argv, capsys)]
+    outputs.append(run_cli(["--precision", "128"] + argv, capsys))
+    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", "96")
+    outputs.append(run_cli(argv, capsys))
+    assert precs == [256, 128, 96]
+    assert all(code in (0, 3) and payload["samples"] == 5 for code, payload, _ in outputs)
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

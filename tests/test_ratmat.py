@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signject.errors import (
@@ -20,8 +21,8 @@ from signject.ratmat import (
     RationalMatrix,
     det,
     gale_dual,
-    integer_pivots,
     integer_rows,
+    integer_rref,
     kernel_basis,
     minor,
     parse_rational,
@@ -101,9 +102,10 @@ def test_det_matches_cofactor(grid, zero_corner):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.randoms(use_true_random=False))
-def test_integer_pivots_match_rref(rows, cols, rnd):
-    """Q is the rref pivot columns and d = det(M_{P,Q}) is nonzero, also when
-    rows repeat up to scale (rank below rows) or all entries vanish."""
+def test_integer_rref_matches_rref(rows, cols, rnd):
+    """Q is the rref pivot columns, d = det(M_{P,Q}) with P in the order
+    returned is nonzero, and the first len(Q) rows are d times the rref rows,
+    also when rows repeat up to scale (rank below rows) or all entries vanish."""
     A = [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 7)) for _ in range(cols)] for _ in range(rows)]
     if rows > 1 and rnd.random() < 0.3:
         A[-1] = [Fraction(-2, 3) * e for e in A[0]]
@@ -111,10 +113,56 @@ def test_integer_pivots_match_rref(rows, cols, rnd):
         A = [[Fraction(0)] * cols for _ in range(rows)]
     grid, scales = integer_rows(M(A))
     assert all(g == a * s for row, grow, s in zip(A, grid, scales) for a, g in zip(row, grow))
-    P, Q, d = integer_pivots(grid)
-    assert tuple(Q) == rref(M(A))[1]
-    assert P == sorted(set(P)) and len(P) == len(Q)
+    reduced, P, Q, d = integer_rref(grid)
+    R, pivots = rref(M(A))
+    k = len(Q)
+    assert tuple(Q) == pivots
+    assert len(set(P)) == len(P) == k
     assert d != 0 and d == cofactor_det(M(A).submatrix(P, Q)) * prod(scales[p] for p in P)
+    assert [[Fraction(a) for a in row] for row in reduced[:k]] == \
+        [[d * e for e in R.row(i)] for i in range(k)]
+    assert all(a == 0 for row in reduced[k:] for a in row)
+    # on its own: d on the pivot columns, and every input row, times d, is
+    # the combination of the reduced rows with its pivot-column entries
+    assert all(reduced[i][q] == (d if i == j else 0) for i in range(k) for j, q in enumerate(Q))
+    assert all(d * g == sum(row[q] * red[j] for q, red in zip(Q, reduced))
+               for row in grid for j, g in enumerate(row))
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(lambda rows: st.integers(0, 6).flatmap(
+        lambda cols: st.lists(st.lists(_fractions, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows).map(lambda g: M(g, rows, cols)))),
+    st.sampled_from(["as drawn", "last row dependent", "all zero"]),
+)
+@example(M([], 0, 0), "as drawn")
+@example(M([], 0, 3), "as drawn")
+@example(M([[], [], []], 3, 0), "as drawn")
+@example(M.zeros(3, 4), "as drawn")
+def test_rref_defining_properties(A, variant):
+    """rref(A) = (R, Q) is checked by what defines it, not against itself: R is
+    in reduced row-echelon form with pivot columns Q, A = A[:, Q] R[:k], and
+    some k-minor A_{P,Q} is nonzero, so k is the rank."""
+    if variant == "last row dependent" and A.rows > 1:
+        grid = [list(row) for row in A.entries]
+        grid[-1] = [Fraction(-2, 3) * a + b for a, b in zip(grid[0], grid[1])]
+        A = M(grid, A.rows, A.cols)
+    elif variant == "all zero":
+        A = M.zeros(A.rows, A.cols)
+    R, Q = rref(A)
+    k = len(Q)
+    assert (R.rows, R.cols) == (A.rows, A.cols)
+    assert list(Q) == sorted(set(Q))
+    for i, q in enumerate(Q):
+        assert all(e == 0 for e in R.row(i)[:q])
+        assert R.column(q) == tuple(Fraction(int(l == i)) for l in range(A.rows))
+    assert all(e == 0 for i in range(k, A.rows) for e in R.row(i))
+    assert A.submatrix(range(A.rows), Q) @ M(R.entries[:k], k, A.cols) == A
+    assert any(cofactor_det(A.submatrix(P, Q)) != 0 for P in combinations(range(A.rows), k))
 
 
 @settings(max_examples=40, deadline=None)
