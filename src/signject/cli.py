@@ -204,7 +204,7 @@ def _cmd_crn(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import oracle  # loads numpy, which no other command needs
+    from . import oracle  # only these subcommands use it; numpy loads there, for non-integral B
 
     if args.oracle_cmd == "sign-set":
         M = _load_matrix(args.M)

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Optional
-
-from mpmath import mp
 
 from .engine import DEFAULT_PRECISION_BITS, Subspace, Verdict, check_injectivity, exponential_pair
 from .errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
@@ -243,6 +243,10 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     a basis of im(N). Both steady-state conditions are linear in kappa, so each
     candidate reduces to one exact feasibility question. Returns (pair or None,
     whether the search stopped at STEADY_STATE_LP_BUDGET LPs).
+
+    y > 0 is screened on integers over the common denominator d of the grid
+    and the basis; y and the monomial rows are built only for the candidates
+    that reach an LP, and x's rows once per x.
     """
     n, r = N.rows, N.cols
     basis = S.image_presentation()
@@ -253,23 +257,25 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
         else [Fraction(1, 2), Fraction(1), Fraction(2)]
     )
     coeff_range = range(-3, 4) if s <= 2 else range(-1, 2)
+    d = lcm(2, *(v.denominator for row in basis.entries for v in row))
+    basis_rows = [[int(v * d) for v in row] for row in basis.entries]
     lps = 0
     for x in product(x_values, repeat=n):
+        X = [int(v * d) for v in x]
+        x_rows = None
         for coeffs in product(coeff_range, repeat=s):
-            if all(c == 0 for c in coeffs):
+            if not any(coeffs):
                 continue
-            z = basis.apply([Fraction(c) for c in coeffs])
-            y = tuple(a + b for a, b in zip(x, z))
-            if any(v <= 0 for v in y):
+            Y = [xi + sum(map(mul, coeffs, row)) for xi, row in zip(X, basis_rows)]
+            if min(Y) <= 0:
                 continue
             if lps == STEADY_STATE_LP_BUDGET:
                 return None, True
             lps += 1
-            rows = []
-            for point in (x, y):
-                mono = [_monomial(point, V.entries[j]) for j in range(r)]
-                for i in range(n):
-                    rows.append([N.entries[i][j] * mono[j] for j in range(r)])
+            y = tuple(Fraction(v, d) for v in Y)
+            if x_rows is None:
+                x_rows = _steady_state_rows(N, V, x)
+            rows = x_rows + _steady_state_rows(N, V, y)
             system = StrictSystem(
                 nvars=r,
                 equalities=RationalMatrix(rows, 2 * n, r),
@@ -278,13 +284,8 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
             res = solve_strict(system)
             if res.feasible:
                 kappa = res.witness
-                for point in (x, y):
-                    mono = [_monomial(point, V.entries[j]) for j in range(r)]
-                    if not all(
-                        sum(N.entries[i][j] * kappa[j] * mono[j] for j in range(r)) == 0
-                        for i in range(n)
-                    ):
-                        raise VerificationFailed("kappa does not make the pair steady states")
+                if any(sum(map(mul, row, kappa)) != 0 for row in rows):
+                    raise VerificationFailed("kappa does not make the pair steady states")
                 return {
                     "kappa": [str(k) for k in kappa],
                     "x": [str(v) for v in x],
@@ -292,6 +293,12 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
                     "residual": "0 (exact rational steady-state equations)",
                 }, False
     return None, False
+
+
+def _steady_state_rows(N: RationalMatrix, V: RationalMatrix, point):
+    """The rows of N diag(point^V): N diag(kappa) point^V = 0 is these rows times kappa."""
+    mono = [_monomial(point, V.entries[j]) for j in range(N.cols)]
+    return [[N.entries[i][j] * mono[j] for j in range(N.cols)] for i in range(N.rows)]
 
 
 def _monomial(x, exps):
@@ -359,6 +366,8 @@ def multistationarity_witness(
         raise VerificationFailed("no rational point of the shared sign in ker(M) or in S")
     if not all(sum(M.entries[i][j] * v[j] for j in range(n)) == 0 for i in range(M.rows)):
         raise VerificationFailed("v is not in ker(M)")
+    from mpmath import mp
+
     with mp.workprec(int(NUMERIC_DIGITS * 3.33) + 16):
         x_num, y_num = exponential_pair(z, v)
         # numeric spot check of x^M = y^M on top of the exact Mv = 0 certificate

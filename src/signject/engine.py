@@ -5,7 +5,10 @@ with respect to a subset S of R^n, for all positive kappa. Three routes exist
 and provably agree: the paired-minor sign test, the symbolic determinant of
 the bordered square matrix, and the exhaustive sign-pair search. All
 verdict-bearing arithmetic is exact; floating point enters only when a
-counterexample witness is rendered and re-verified at high precision.
+counterexample witness is rendered and re-verified at high precision. mpmath
+is imported by the functions that do that (evaluate_map and the witness
+builder), so importing this module, or deciding a verdict of "injective",
+does not load it.
 """
 from __future__ import annotations
 
@@ -15,9 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 from typing import Optional
-
-from mpmath import libmp, mp
-from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
                      ShapeMismatch, VerificationFailed)
@@ -46,7 +46,9 @@ from .ratmat import (
 from .signs import SignVector, sigma, sign_of
 
 DEFAULT_PRECISION_BITS = 256
-RESIDUAL_TOLERANCE = mp.mpf("1e-30")
+# the largest relative residual a counterexample may have; the float 1e-30 is
+# the same binary value as mpmath's default-precision mpf("1e-30")
+RESIDUAL_TOLERANCE = 1e-30
 # LPs the (mu, tau) sign search may solve before it gives up
 SIGN_SEARCH_LP_BUDGET = 5000
 
@@ -317,7 +319,10 @@ class Verdict:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def _from_exact(value, ctx=mp):
+def _from_exact(value, ctx=None):
+    """value as an mpf of ctx (mpmath.mp when None)."""
+    if ctx is None:
+        from mpmath import mp as ctx
     if isinstance(value, Fraction):
         return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
     return ctx.mpf(value)
@@ -353,6 +358,8 @@ def evaluate_map(
         raise LengthMismatch("kappa must match columns of A; x must match columns of B")
     if any(k <= 0 for k in kappa) or any(xi <= 0 for xi in x):
         raise NonPositiveInput("kappa and x must be componentwise positive")
+    from mpmath import mp
+
     ctx = _interval_context(prec)
     with mp.workprec(prec):
         mono = _monomials(B, x, ctx)
@@ -370,14 +377,18 @@ def evaluate_map(
 
 
 @cache
-def _interval_context(prec: int) -> MPIntervalContext:
+def _interval_context(prec: int):
     """A private interval context at prec bits; mpmath.iv's precision is never set."""
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = prec
     return ctx
 
 
 def _mpf_to_fraction(value) -> Fraction:
+    from mpmath import libmp
+
     num, den = libmp.to_rational(value._mpf_)
     return Fraction(int(num), int(den))
 
@@ -391,6 +402,8 @@ def exponential_pair(z, v):
     z and v are rational with one sign pattern: y_i = z_i / (e^{v_i} - 1) and
     x_i = y_i e^{v_i}, and x_i = y_i = 1 where z_i = 0.
     """
+    from mpmath import mp
+
     x, y = [], []
     for zi, vi in zip(z, v):
         if zi == 0:
@@ -443,6 +456,8 @@ def construct_counterexample(
         if w is None:
             raise VerificationFailed("mu is not a sign vector of ker(A)")
 
+    from mpmath import mp
+
     for attempt_prec in (prec, max(4 * prec, 1024)):
         with mp.workprec(attempt_prec):
             x_num, y_num = exponential_pair(z, y_hat)
@@ -472,12 +487,16 @@ def construct_counterexample(
 
 
 def _verify_counterexample(A, B, kappa, x_num, y_num, prec):
+    """(relative residual <= RESIDUAL_TOLERANCE, the residual); with no rows of A
+    the residual is 0 and the scale 1."""
+    from mpmath import mp
+
     if any(k <= 0 for k in kappa) or any(v <= 0 for v in x_num) or any(v <= 0 for v in y_num):
         return False, mp.inf
     fx, ex = evaluate_map(A, B, kappa, x_num, prec)
     fy, ey = evaluate_map(A, B, kappa, y_num, prec)
-    residual = max(abs(a - b) for a, b in zip(fx, fy)) + ex + ey
-    scale = max(max(abs(v) for v in fx), mp.mpf(1))
+    residual = max((abs(a - b) for a, b in zip(fx, fy)), default=mp.mpf(0)) + ex + ey
+    scale = max([*(abs(v) for v in fx), mp.mpf(1)])
     rel = residual / scale
     return rel <= RESIDUAL_TOLERANCE, rel
 

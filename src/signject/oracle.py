@@ -4,7 +4,9 @@ Every routine here re-derives a quantity the engine computes, by a different
 algorithm (cofactor expansion, Fourier-Motzkin, brute-force orthant sweeps,
 Leibniz expansion, random sampling). Outside the tests, only the CLI's
 ``oracle`` subcommands import this module, when they run; the rest of the
-package never depends on it.
+package never depends on it. Importing it loads neither numpy nor mpmath:
+only the non-integral-B branch of sampled_injectivity_search imports them,
+for its float kernel vectors and interval residuals.
 """
 from __future__ import annotations
 
@@ -13,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
-
-import numpy
-from mpmath import mp
 
 from .errors import TooLarge, VerificationFailed
 from .feasibility import StrictSystem, solve_strict
@@ -284,6 +283,9 @@ def sampled_injectivity_search(
         exponents = [[int(v) for v in row] for row in B.entries]
         q_scales = [Fraction(1, q) ** sum(row) for row in exponents]
     else:
+        import numpy
+        from mpmath import mp
+
         Af = numpy.array([[float(v) for v in row] for row in A.entries]).reshape(m, r)
         Bf = numpy.array([[float(v) for v in row] for row in B.entries])
     infeasible = set()
@@ -348,6 +350,8 @@ def _fractions(V, q):
 
 
 def _floats(V, q):
+    import numpy
+
     # int / int rounds correctly, so these equal the floats of the Fractions
     return numpy.array([v / q for v in V])
 
@@ -372,6 +376,8 @@ def _float_collision_kappa(Af, Bf, xf, yf):
     """A positive float kernel vector of A diag(x^B - y^B), rounded to rationals,
     or None. The tolerance on the singular values is absolute. With no rows,
     every positive vector is in the kernel, and kappa = 1."""
+    import numpy
+
     D = Af * (numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf)))
     if not D.size:
         return [Fraction(1)] * D.shape[1]

@@ -222,6 +222,28 @@ def test_oracle_sample_without_rows(tmp_path, capsys, B):
     assert all(v["kappa"] == ["1", "1"] and v["x"] != v["y"] for v in payload["violations"])
 
 
+@pytest.mark.parametrize("subset", ["--full-space", "--S-image", "--S-signs"])
+def test_injectivity_without_rows(tmp_path, capsys, subset):
+    """A 0 x 2 matrix A: f_kappa is the empty map, so every x != y collides;
+    the counterexample's residual over no rows is 0."""
+    a = tmp_path / "A.json"
+    a.write_text(json.dumps({"rows": 0, "cols": 2, "entries": []}))
+    b = write(tmp_path, "B.json", M.identity(2))
+    argv = ["injectivity", "--A", str(a), "--B", b, subset]
+    if subset == "--S-image":
+        argv.append(write(tmp_path, "C.json", M([[1], [0]])))
+    elif subset == "--S-signs":
+        signs = tmp_path / "T.txt"
+        signs.write_text("+-\n++\n")
+        argv.append(str(signs))
+    code, payload, _ = run_cli(argv, capsys)
+    assert code == 3 and payload["injective"] is False
+    cx = payload["counterexample"]
+    assert cx is not None and float(cx["residual_bound"]) == 0
+    if subset == "--full-space":
+        assert cx["kappa"] == ["1", "1"]
+
+
 def test_oracle_sample_precision(tmp_path, capsys, monkeypatch):
     """oracle sample passes --precision, else $SIGNJECT_PRECISION_BITS, else
     256, to the sampling search."""

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signject.crn as crn
 from signject.crn import (
     apply_kinetic_orders,
     multistationarity_witness,
@@ -16,7 +20,9 @@ from signject.crn import (
 from signject.engine import Subspace, check_injectivity
 from signject.errors import ParseError, ShapeMismatch, UnknownSpecies
 from signject.matroid import image_sign_vectors
+from signject.feasibility import StrictSystem, solve_strict
 from signject.ratmat import RationalMatrix, gale_dual, rank
+from signject.signs import SignVector
 
 M = RationalMatrix
 
@@ -183,3 +189,103 @@ def test_steady_state_search_budget(monkeypatch):
     assert cut.steady_state_pair is None and not cut.precluded
     assert len(lps) == needed - 1
     assert f"exhausted after {needed - 1} LPs" in cut.note
+
+
+# -- the steady-state grid against a reference ---------------------------------
+
+NETWORKS = Path(__file__).resolve().parent.parent / "bench" / "networks"
+
+
+def reference_steady_state_pair(N, V, S, budget):
+    """The grid as it was before its integer screen: z = basis c and y = x + z
+    in Fractions, and both points' monomial rows built for every candidate."""
+    n, r = N.rows, N.cols
+    basis = S.image_presentation()
+    s = basis.cols
+    x_values = (
+        [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
+        if n <= 2
+        else [Fraction(1, 2), Fraction(1), Fraction(2)]
+    )
+    coeff_range = range(-3, 4) if s <= 2 else range(-1, 2)
+    lps = 0
+    for x in product(x_values, repeat=n):
+        for coeffs in product(coeff_range, repeat=s):
+            if all(c == 0 for c in coeffs):
+                continue
+            z = basis.apply([Fraction(c) for c in coeffs])
+            y = tuple(a + b for a, b in zip(x, z))
+            if any(v <= 0 for v in y):
+                continue
+            if lps == budget:
+                return None, True
+            lps += 1
+            rows = []
+            for point in (x, y):
+                mono = [crn._monomial(point, V.entries[j]) for j in range(r)]
+                for i in range(n):
+                    rows.append([N.entries[i][j] * mono[j] for j in range(r)])
+            res = solve_strict(StrictSystem(nvars=r, equalities=M(rows, 2 * n, r),
+                                            comp_signs=SignVector([1] * r)))
+            if res.feasible:
+                return {
+                    "kappa": [str(k) for k in res.witness],
+                    "x": [str(v) for v in x],
+                    "y": [str(v) for v in y],
+                    "residual": "0 (exact rational steady-state equations)",
+                }, False
+    return None, False
+
+
+def _random_network(rnd, species):
+    """2 to 5 mass-action reactions between random complexes of up to 3 of each species."""
+
+    def complex_():
+        terms = [f"{c} {x}" for x in species if (c := rnd.choice((0, 0, 1, 2, 3)))]
+        return " + ".join(terms) or "0"
+
+    lines = []
+    count = rnd.randint(2, 5)
+    while len(lines) < count:
+        left, right = complex_(), complex_()
+        if left != right:
+            lines.append(f"k{len(lines) + 1}: {left} -> {right}")
+    return parse_network("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, budget", [
+    ("edelstein", None), ("schlogl", None), ("interconversion", None), ("inflow_outflow", None),
+    ("autocatalytic", None), ("pair", None), ("futile", 50), ("twosite", 50),
+])
+def test_steady_state_grid_matches_reference(name, budget, monkeypatch):
+    """Same pair, or the same exhaustion, as the Fraction grid; futile and
+    twosite exhaust their grid, so a smaller budget keeps them quick."""
+    if budget is not None:
+        monkeypatch.setattr(crn, "STEADY_STATE_LP_BUDGET", budget)
+    N, V = stoichiometry(parse_network((NETWORKS / f"{name}.txt").read_text()))
+    S = Subspace(C=N)
+    expected = reference_steady_state_pair(N, V, S, crn.STEADY_STATE_LP_BUDGET)
+    assert crn._steady_state_pair(N, V, S) == expected
+    assert expected[1] == (budget is not None)
+
+
+def test_steady_state_grid_matches_reference_on_random_networks(monkeypatch):
+    """Small mass-action networks: in one species, where some grids find a
+    pair, and in two or three, with a budget small enough that some grids
+    exhaust it. im(N) is also presented by 2N/3, so that the common
+    denominator of the grid and the basis is 6, not 2."""
+    budget = 60
+    monkeypatch.setattr(crn, "STEADY_STATE_LP_BUDGET", budget)
+    rnd = random.Random("steady-state-grid")
+    outcomes = set()
+    for species in ["A"] * 50 + ["AB", "ABC"] * 6:
+        net = _random_network(rnd, species)
+        N, V = stoichiometry(net)
+        thirds = M([[Fraction(2, 3) * v for v in row] for row in N.entries], N.rows, N.cols)
+        for S in (Subspace(C=N), Subspace(C=thirds)):
+            if S.dim() == 0:
+                continue
+            expected = reference_steady_state_pair(N, V, S, budget)
+            assert crn._steady_state_pair(N, V, S) == expected, render(net)
+            outcomes.add((expected[0] is not None, expected[1]))
+    assert outcomes == {(True, False), (False, False), (False, True)}

@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,19 +257,47 @@ def test_wrong_lp_witness_raises(monkeypatch):
         sampled_injectivity_search(RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} called")
+# Run in a fresh interpreter: prints which of numpy and mpmath are loaded after
+# the import, after exact decisions, and after a rendered counterexample.
+_LOADED_SCRIPT = """
+import json, sys
+import signject.cli
+from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity
+from signject.oracle import sampled_injectivity_search
+from signject.ratmat import RationalMatrix as M
+from signject.signs import SignVector
+
+def loaded():
+    return [name for name in ("mpmath", "numpy") if name in sys.modules]
+
+stages = {"import": loaded()}
+stages["injective"] = check_injectivity(M([[1, -1]]), M.identity(2),
+                                        Subspace(C=M([[1], [-1]]))).injective
+cases = [
+    (M([[1, -1]]), M([[2], [1]]), FullSpace()),
+    (M([[1, -1]]), M([[2, 0], [1, 1]]), Subspace(Z=M([[0, 3]]))),
+    (M.identity(2), M.identity(2), FullSpace()),
+    (M([[1, -1, 0], [0, 1, -1]]), M([[1, 0], [0, 1], [1, 1]]),
+     OrthantUnion(tuple(map(SignVector.parse, ("+-", "-+", "++"))))),
+]
+stages["violations"] = sum(len(sampled_injectivity_search(A, B, S=T, samples=80, seed=3).violations)
+                           for A, B, T in cases)
+stages["exact"] = loaded()
+stages["not_injective"] = check_injectivity(M([[1, -1]]), M.identity(2), FullSpace()).injective
+stages["witness"] = loaded()
+print(json.dumps(stages))
+"""
 
 
-def test_integral_search_makes_no_numpy_call(monkeypatch):
-    """Integral B is decided by the pattern cache and exact LPs alone."""
-    cases = COLLIDING[:3] + [
-        (M.identity(2), M.identity(2), FullSpace()),
-        (M([[1, -1, 0], [0, 1, -1]]), M([[1, 0], [0, 1], [1, 1]]),
-         OrthantUnion((S("+-"), S("-+"), S("++")))),
-    ]
-    expected = [sampled_injectivity_search(A, B, S=T, samples=80, seed=3) for A, B, T in cases]
-    assert any(rep.found_violation for rep in expected)
-    monkeypatch.setattr(oracle, "numpy", _NoNumpy())
-    assert [sampled_injectivity_search(A, B, S=T, samples=80, seed=3) for A, B, T in cases] == expected
+def test_integral_search_makes_no_numpy_call():
+    """Importing the CLI, an injective verdict and the integral-B search load
+    neither numpy nor mpmath; a rendered counterexample loads mpmath only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages["import"] == [] and stages["exact"] == []
+    assert stages["injective"] is True and stages["violations"] > 0
+    assert stages["not_injective"] is False and stages["witness"] == ["mpmath"]
