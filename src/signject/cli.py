@@ -54,7 +54,7 @@ def _load_matrix(path: str) -> RationalMatrix:
 def _load_signs(path: str):
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return tuple(SignVector.parse(ln) for ln in lines)
@@ -187,8 +187,9 @@ def _cmd_crn(args) -> int:
     M = _load_matrix(args.M)
     N, _ = crn.stoichiometry(net)
     S = Subspace(C=N)
-    unique = crn.special_unique(M, S)
-    witness = None if unique else crn.multistationarity_witness(M, S, args.assume_coset)
+    # one sign-set intersection: the witness is None exactly when special_unique holds
+    witness = crn.multistationarity_witness(M, S, args.assume_coset)
+    unique = witness is None
     _emit(
         {
             "command": "crn-special",
@@ -334,15 +335,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.precision is None:
-        args.precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
-    if args.precision < 64:
-        print("error: precision must be at least 64 bits", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if args.precision is None:
+            try:
+                args.precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+            except ValueError:
+                raise ParseError("SIGNJECT_PRECISION_BITS must be an integer") from None
+        if args.precision < 64:
+            raise ParseError("precision must be at least 64 bits")
+        if args.jobs < 1:
+            raise ParseError("--jobs must be at least 1")
         return args.func(args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

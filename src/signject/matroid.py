@@ -3,8 +3,10 @@
 A configuration is an n x r rational matrix of rank n whose columns are the
 ground-set vectors. Cocircuits come from integer hyperplane normals (signed
 (n-1)-minors of the column-scaled configuration), and covectors are their
-composition closure, computed on bitmask pairs. The closure can be exponential
-in r, so ``covectors`` raises ``TooLarge`` when r exceeds ``GROUND_SET_GUARD``.
+composition closure. Sign sets stay (pos, neg) bitmask pairs up to the
+public functions, which build their sorted SignVector tuples once, at the end.
+The closure can be exponential in r, so ``covectors`` raises ``TooLarge`` when
+r exceeds ``GROUND_SET_GUARD``.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from itertools import combinations
 
 from .errors import RankDeficient, ShapeMismatch, TooLarge
 from .ratmat import RationalMatrix, column_basis, det, integer_det, integer_rows, kernel_basis, rank
-from .signs import SignVector, canonical_sort, sign_of
+from .signs import SignVector, sign_of
 
 GROUND_SET_GUARD = 16
 
@@ -56,7 +58,12 @@ def chirotope(A: RationalMatrix) -> Chirotope:
 
 
 def cocircuits(A: RationalMatrix):
-    """All cocircuits (+/- pairs) of the configuration, canonically ordered.
+    """All cocircuits (+/- pairs) of the configuration, canonically ordered."""
+    return _sign_vectors(_cocircuit_masks(A), A.cols)
+
+
+def _cocircuit_masks(A: RationalMatrix):
+    """The cocircuits of the configuration as a set of (pos, neg) bitmask pairs.
 
     Each (n-1)-subset H of columns spanning a hyperplane determines a normal t,
     and the induced sign vector (sign(t . a^j))_j is a covector of minimal
@@ -74,24 +81,32 @@ def cocircuits(A: RationalMatrix):
         t = [(-1) ** (n - 1 - i) * integer_det(rows[:i] + rows[i + 1:]) for i in range(n)]
         if not any(t):
             continue
-        c = SignVector(sign_of(sum(ti * ai for ti, ai in zip(t, col))) for col in columns)
-        found.add(c)
-        found.add(-c)
-    return canonical_sort(found)
+        values = [sum(ti * ai for ti, ai in zip(t, col)) for col in columns]
+        pos = sum(1 << j for j, v in enumerate(values) if v > 0)
+        neg = sum(1 << j for j, v in enumerate(values) if v < 0)
+        found |= {(pos, neg), (neg, pos)}
+    return found
+
+
+def _sign_vectors(masks, r: int):
+    """The (pos, neg) pairs over r coordinates as a canonically sorted SignVector tuple."""
+    return tuple(sorted(SignVector((pos >> j & 1) - (neg >> j & 1) for j in range(r)) for pos, neg in masks))
 
 
 def covectors(A: RationalMatrix):
-    """The full covector set sigma(im(A^T)): composition closure of the cocircuits.
+    """The full covector set sigma(im(A^T)): composition closure of the cocircuits."""
+    return _sign_vectors(_covector_masks(A), A.cols)
 
-    A sign vector is held as the bitmask pair (pos, neg) of its + and -
-    coordinates, and u o v = (pos_u | pos_v & ~supp_u, neg_u | neg_v & ~supp_u);
-    a cocircuit whose support lies inside supp_u leaves u unchanged.
+
+def _covector_masks(A: RationalMatrix):
+    """The covectors of the configuration as a set of (pos, neg) bitmask pairs.
+
+    u o v = (pos_u | pos_v & ~supp_u, neg_u | neg_v & ~supp_u); a cocircuit
+    whose support lies inside supp_u leaves u unchanged.
     """
-    r = A.cols
-    if r > GROUND_SET_GUARD:
+    if A.cols > GROUND_SET_GUARD:
         raise TooLarge(f"covector enumeration guarded at ground-set size {GROUND_SET_GUARD}")
-    pairs = [(sum(1 << j for j, x in enumerate(c) if x > 0), sum(1 << j for j, x in enumerate(c) if x < 0))
-             for c in cocircuits(A)]
+    pairs = _cocircuit_masks(A)
     base = [(p, q, p | q) for p, q in pairs]
     closed = {(0, 0), *pairs}
     frontier = list(closed)
@@ -106,25 +121,23 @@ def covectors(A: RationalMatrix):
                         closed.add(w)
                         fresh.append(w)
         frontier = fresh
-    return canonical_sort(
-        SignVector((pos >> j & 1) - (neg >> j & 1) for j in range(r)) for pos, neg in closed
-    )
+    return closed
+
+
+def _span_masks(K: RationalMatrix):
+    """sigma(im(K)) as (pos, neg) pairs, for K with independent columns (maybe none)."""
+    # the rows of K^T span im(K), so its sign vectors are the covectors of K^T
+    return _covector_masks(K.transpose()) if K.cols else {(0, 0)}
 
 
 def matroid_vectors(A: RationalMatrix):
     """sigma(ker(A)) as a complete sign-vector set (rank-deficient A allowed)."""
-    K = kernel_basis(A)
-    if K.cols == 0:
-        return (SignVector.zero(A.cols),)
-    # ker(A) = im(K), so its sign vectors are the covectors of K^T
-    return covectors(K.transpose())
+    return _sign_vectors(_span_masks(kernel_basis(A)), A.cols)
 
 
 def image_sign_vectors(C: RationalMatrix):
     """sigma(im(C)) for an n x k matrix C whose columns span the subspace."""
-    if C.cols == 0 or C.is_zero():
-        return (SignVector.zero(C.rows),)
-    return covectors(column_basis(C).transpose())
+    return _sign_vectors(_span_masks(column_basis(C)), C.rows)
 
 
 def common_sign_vectors(M: RationalMatrix, C: RationalMatrix):
@@ -132,10 +145,13 @@ def common_sign_vectors(M: RationalMatrix, C: RationalMatrix):
 
     Empty iff ker(M) and im(C) share no nonzero orthant: the sign condition
     behind injectivity, at most one positive solution and unique special
-    steady states.
+    steady states. Only the shared vectors become SignVectors.
     """
-    shared = set(matroid_vectors(M)) & set(image_sign_vectors(C))
-    return canonical_sort(v for v in shared if not v.is_zero())
+    if M.cols != C.rows:
+        raise ShapeMismatch("M must have one column per row of C")
+    shared = _span_masks(kernel_basis(M)) & _span_masks(column_basis(C))
+    shared.discard((0, 0))
+    return _sign_vectors(shared, M.cols)
 
 
 def same_oriented_matroid(A: RationalMatrix, Bt: RationalMatrix) -> bool:

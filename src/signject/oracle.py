@@ -248,6 +248,8 @@ def sampled_injectivity_search(
     counts only if the relative residual, bounded in interval arithmetic at
     prec bits (256 by default), sits below 1e-30. Deterministic per seed.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     from .engine import FullSpace, OrthantUnion, Subspace, evaluate_map
 
     rng = random.Random(seed)

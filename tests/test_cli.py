@@ -61,6 +61,16 @@ def test_injectivity_sign_file(tmp_path, capsys):
     assert code == 0 and payload["injective"] is True
 
 
+def test_sign_file_comments(tmp_path, capsys):
+    """`#` lines are comments in sign-set files, indented or not."""
+    a = write(tmp_path, "A.json", M.identity(2))
+    b = write(tmp_path, "B.json", M([[1, 1], [1, 1]]))
+    signs = tmp_path / "T.txt"
+    signs.write_text("# orthants of S\n  # note\n\t# tab-indented note\n ++ \n")
+    code, payload, _ = run_cli(["injectivity", "--A", a, "--B", b, "--S-signs", str(signs)], capsys)
+    assert code == 0 and payload["injective"] is True
+
+
 def test_minors_and_gamma(tmp_path, capsys):
     at = write(tmp_path, "At.json", M([[1, -1], [1, -1]]))
     b = write(tmp_path, "B.json", M.identity(2))
@@ -120,6 +130,25 @@ def test_crn_commands(tmp_path, capsys):
     assert code in (0, 3)
 
 
+def test_crn_special_makes_one_intersection(tmp_path, capsys, monkeypatch):
+    """A non-unique `crn special` runs the covector closure once for ker M and
+    once for im N: the unique verdict and the witness share one intersection."""
+    import signject.matroid as matroid
+
+    calls = []
+    for name in ("_covector_masks", "_span_masks"):
+        def counting(*args, _name=name, _fn=getattr(matroid, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(matroid, name, counting)
+    net = tmp_path / "net.txt"
+    net.write_text("k1: 0 -> A + B\nk2: A + B -> 0\n")
+    m = write(tmp_path, "M.json", M([[1, -1]]))
+    code, payload, _ = run_cli(["crn", "special", str(net), "--M", m], capsys)
+    assert code == 3 and payload["unique"] is False and payload["witness"]["rho"] == "--"
+    assert calls == ["_span_masks", "_covector_masks"] * 2
+
+
 def test_oracle_commands(tmp_path, capsys):
     m = write(tmp_path, "M.json", M([[1, -1]]))
     code, payload, _ = run_cli(["oracle", "sign-set", "--M", m, "--mode", "kernel"], capsys)
@@ -134,6 +163,23 @@ def test_usage_errors(tmp_path, capsys):
     a = write(tmp_path, "A.json", M.identity(2))
     code, _, err = run_cli(["--precision", "32", "chirotope", "--A", a], capsys)
     assert code == 2 and "precision" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_non_integer_precision_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", value)
+    a = write(tmp_path, "A.json", M.identity(2))
+    code, payload, err = run_cli(["chirotope", "--A", a], capsys)
+    assert code == 2 and payload is None
+    assert err == "error: SIGNJECT_PRECISION_BITS must be an integer\n"
+
+
+def test_oracle_sample_rejects_negative_samples(tmp_path, capsys):
+    a = write(tmp_path, "A.json", M([[1, -1]]))
+    b = write(tmp_path, "B.json", M([[1], [2]]))
+    code, payload, err = run_cli(["oracle", "sample", "--A", a, "--B", b, "--samples", "-3"], capsys)
+    assert code == 2 and payload is None
+    assert err == "error: samples must be non-negative, got -3\n"
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -24,7 +24,10 @@ them rank-deficient (exit code 2, no JSON: the hash of empty bytes).
 The corpus includes ``minors`` and ``gamma-det`` on the dual futile cycle
 (9 species, 12 reactions), with the inputs ``crn preclude`` builds from it;
 ``test_dual_minors_determinant_count`` pins how many integer determinants
-``check_minors`` takes there.
+``check_minors`` takes there. It also includes the five ``crn special`` calls
+of the benchmark's ``crn_minors`` workload: the futile cycle and the two-site
+network, each with M = N^T and M = V_3, and ``bench/networks/pair.txt`` with
+M = (1, -1).
 
 After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -94,6 +97,20 @@ def subspace_route_inputs(text):
 
 
 DUAL_ATILDE, DUAL_APRIME, DUAL_V, DUAL_Z = (_m(M.entries) for M in subspace_route_inputs(DUAL))
+
+
+def special_inputs(text):
+    """The M of the benchmark's `crn special` calls on a network: N^T, for which
+    at most one special steady state is a theorem, and the kinetic orders V_3
+    of the first three reactions, which admit two."""
+    N, V = stoichiometry(parse_network(text))
+    return _m(N.transpose().entries), _m(V.entries[:3])
+
+
+FUTILE_NT, FUTILE_V3 = special_inputs(FUTILE)
+TWOSITE_NT, TWOSITE_V3 = special_inputs(TWOSITE)
+# bench/networks/pair.txt, comment line included
+PAIR_FILE = "# S = span{(1, 1)}: with M = (1, -1), the pair of acceptance criterion 11.\n" + PAIR
 
 # (name, argv with {file} placeholders, input files, expected exit code)
 CASES = [
@@ -182,6 +199,16 @@ CASES = [
     ("crn_special_witness",
      ["crn", "special", "{net}", "--M", "{M}"],
      {"net": PAIR, "M": ONE_MINUS_ONE}, 3),
+    ("crn_special_futile_nt",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": FUTILE, "M": FUTILE_NT}, 0),
+    ("crn_special_futile_v3",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": FUTILE, "M": FUTILE_V3}, 3),
+    ("crn_special_twosite_nt",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": TWOSITE, "M": TWOSITE_NT}, 0),
+    ("crn_special_twosite_v3",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": TWOSITE, "M": TWOSITE_V3}, 3),
+    ("crn_special_pair",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": PAIR_FILE, "M": ONE_MINUS_ONE}, 3),
     ("oracle_sign_set",
      ["oracle", "sign-set", "--M", "{M}", "--mode", "image"], {"M": CONFIG}, 0),
     ("oracle_gamma",

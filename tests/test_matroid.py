@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signject.errors import RankDeficient, TooLarge
+from signject.errors import RankDeficient, ShapeMismatch, TooLarge
 from signject.matroid import (
     chirotope,
     cocircuits,
@@ -72,6 +72,16 @@ def test_image_sign_vectors():
     C2 = M([[1, 2], [1, 2]])
     assert set(image_sign_vectors(C2)) == {S("00"), S("++"), S("--")}
     assert image_sign_vectors(M.zeros(2, 1)) == (S("00"),)
+
+
+def test_common_sign_vectors_worked():
+    Mm = M([[1, -1]])
+    assert common_sign_vectors(Mm, M([[1], [1]])) == (S("--"), S("++"))
+    assert common_sign_vectors(Mm, M([[1], [-1]])) == ()
+    assert common_sign_vectors(Mm, M.zeros(2, 1)) == ()
+    # ker M and im C must live in the same space
+    with pytest.raises(ShapeMismatch):
+        common_sign_vectors(Mm, M([[1], [1], [1]]))
 
 
 def test_too_large_guard():

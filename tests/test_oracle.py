@@ -87,6 +87,13 @@ def test_search_empty_subset():
     assert rep.candidates == 0 and not rep.found_violation
 
 
+def test_search_rejects_negative_samples():
+    with pytest.raises(ValueError, match="non-negative"):
+        sampled_injectivity_search(M([[1, -1]]), M([[2], [1]]), samples=-1)
+    rep = sampled_injectivity_search(M([[1, -1]]), M([[2], [1]]), samples=0)
+    assert rep.samples == 0 and rep.candidates == 0 and not rep.found_violation
+
+
 def test_search_seed_deterministic():
     a = sampled_injectivity_search(M([[1, -1]]), M([[2], [1]]), samples=60, seed=9)
     b = sampled_injectivity_search(M([[1, -1]]), M([[2], [1]]), samples=60, seed=9)
