@@ -359,9 +359,8 @@ def multistationarity_witness(
     if not shared:
         return None
     rho = shared[0]
-    v = rational_point_with_sign(M if M.rows else None, n, rho)
-    Z = S.kernel_presentation()
-    z = rational_point_with_sign(Z if Z.rows else None, n, rho)
+    v = rational_point_with_sign(M, rho)
+    z = rational_point_with_sign(S.kernel_presentation(), rho)
     if v is None or z is None:
         raise VerificationFailed("no rational point of the shared sign in ker(M) or in S")
     if not all(sum(M.entries[i][j] * v[j] for j in range(n)) == 0 for i in range(M.rows)):

@@ -26,7 +26,6 @@ from .feasibility import (
     feasible_sign_pair,
     rational_point_with_sign,
     solve_strict,
-    split_pair_witness,
 )
 from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
 from .ratmat import (
@@ -246,6 +245,8 @@ def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     """
     if B.rows != Atilde.cols or B.cols != Atilde.rows:
         raise ShapeMismatch("B must be r x n for an n x r Atilde")
+    if s < 0:
+        raise ValueError(f"the minor order s must be non-negative, got {s}")
     common_sign = 0
     witness = None
     conflict = None
@@ -421,9 +422,7 @@ def _rational_point_in_subset(S, tau: SignVector):
     """Exact rational z in S with sigma(z) = tau."""
     if isinstance(S, (FullSpace, OrthantUnion)):
         return tuple(Fraction(s) for s in tau)
-    Z = S.kernel_presentation()
-    E = Z if Z.rows else None
-    z = rational_point_with_sign(E, len(tau), tau)
+    z = rational_point_with_sign(S.kernel_presentation(), tau)
     if z is None:
         raise VerificationFailed("no rational point of the requested sign exists in S")
     return z
@@ -435,24 +434,23 @@ def construct_counterexample(
     S,
     mu: SignVector,
     tau: SignVector,
-    pair_witness,
+    y_hat,
     prec: int = DEFAULT_PRECISION_BITS,
 ) -> Counterexample:
     """Build (kappa, x, y) with f_kappa(x) = f_kappa(y), x - y in S, from a feasible pair.
 
-    pair_witness is the (x_hat, y_hat) solution of the sign system; only the
-    y part enters the construction (it supplies ln x - ln y). kappa is emitted
-    as exact positive rationals, so the verified residual is nonzero but far
-    below tolerance.
+    y_hat is the y half of a solution of the (mu, tau) sign system, with
+    sigma(y_hat) = tau and sigma(B y_hat) = mu; it supplies ln x - ln y. kappa
+    is emitted as exact positive rationals, so the verified residual is
+    nonzero but far below tolerance.
     """
-    _, y_hat = pair_witness
     if sigma(y_hat) != tau:
         raise VerificationFailed("pair witness does not carry the sign tau")
     z = _rational_point_in_subset(S, tau)
     if mu.is_zero():
         w = tuple(Fraction(0) for _ in range(A.cols))
     else:
-        w = rational_point_with_sign(A if A.rows else None, A.cols, mu)
+        w = rational_point_with_sign(A, mu)
         if w is None:
             raise VerificationFailed("mu is not a sign vector of ker(A)")
 
@@ -517,7 +515,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     Raises SearchBudgetExceeded instead of solving more than
     SIGN_SEARCH_LP_BUDGET pair LPs.
     """
-    r, n = A.cols, B.cols
+    r = A.cols
     T = tuple(sorted(set(T)))
     if not T:
         return Verdict(True, "sign_search", certificate={"empty_condition": True}, warnings=tuple(warnings))
@@ -527,9 +525,8 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     shared = sorted(kerB.intersection(T))
     if shared:
         tau = shared[0]
-        y_hat = rational_point_with_sign(B if B.rows else None, n, tau)
-        mu = SignVector.zero(r)
-        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, y_hat), prec)
+        y_hat = rational_point_with_sign(B, tau)
+        cx = construct_counterexample(A, B, S, SignVector.zero(r), tau, y_hat, prec)
         return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
@@ -541,8 +538,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
             result = feasible_sign_pair(A, B, mu, tau)
             tested += 1
             if result.feasible:
-                witness = split_pair_witness(result, r)
-                cx = construct_counterexample(A, B, S, mu, tau, witness, prec)
+                cx = construct_counterexample(A, B, S, mu, tau, result.witness[r:], prec)
                 return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
     certificate = {
         "pairs_tested": tested,
@@ -594,9 +590,7 @@ def _check_full_space(A, B, warnings, prec):
     if rank(B) < n:
         # ker(B) nontrivial: the monomial map itself is not injective
         kv = kernel_basis(B).column(0)
-        tau = sigma(kv)
-        mu = SignVector.zero(r)
-        cx = construct_counterexample(A, B, S, mu, tau, ((Fraction(0),) * r, kv), prec)
+        cx = construct_counterexample(A, B, S, SignVector.zero(r), sigma(kv), kv, prec)
         return Verdict(
             False,
             "full_space",
@@ -637,8 +631,7 @@ def _full_space_counterexample(A, B, shared, S, prec):
     pair = feasible_sign_pair(A, B, rho, tau)
     if not pair.feasible:
         raise VerificationFailed("the sign pair (rho, sigma(y)) is infeasible")
-    witness = split_pair_witness(pair, A.cols)
-    return construct_counterexample(A, B, S, rho, tau, witness, prec)
+    return construct_counterexample(A, B, S, rho, tau, pair.witness[A.cols:], prec)
 
 
 def _check_subspace_minors(A, Aprime, B, S, warnings, prec):
@@ -651,7 +644,7 @@ def _check_subspace_minors(A, Aprime, B, S, warnings, prec):
     C = S.image_presentation()
     Z = S.kernel_presentation()
     holds, ledger = check_minors(C @ Aprime, B, Aprime.rows)
-    poly = gamma_det_poly(Aprime, B, Z if Z.rows else None)
+    poly = gamma_det_poly(Aprime, B, Z)
     if det_condition(poly) != holds:
         raise InternalError("the (min) and (det) routes disagree; internal bug")
     certificate = {"minors": ledger, "det_poly_sign_count": len(poly.signs())}

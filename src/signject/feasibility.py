@@ -1,25 +1,27 @@
 """Exact feasibility of homogeneous linear systems with strict sign constraints.
 
-Strict inequalities are decided through the epsilon-relaxation: since every
-system here is homogeneous, its solution set is a cone, so feasibility of
-"> 0" constraints is equivalent to feasibility with ">= eps" for any positive
-eps; we fix eps = 1. The relaxed system is solved by a phase-1 simplex with
-Bland's rule, so termination is guaranteed. The simplex works on integer
-rows, each a positive multiple of its rational row, so it takes the pivots of
-the rational simplex and both witnesses and Farkas certificates are exact.
-Every witness and every certificate is re-verified over Fraction before it is
-returned.
+A strict system is one list of (row, sign) pairs, with sign -1, 0 or +1:
+row . z = 0 for sign 0, and row . z of that sign otherwise. The same pairs
+feed the simplex tableau and both re-checks. Strict inequalities are decided
+through the eps-relaxation: since every system here is homogeneous, its
+solution set is a cone, so feasibility of "> 0" constraints is equivalent to
+feasibility with ">= eps" for any positive eps; we fix eps = 1. The relaxed
+system is solved by a phase-1 simplex with Bland's rule, so termination is
+guaranteed. The simplex works on integer rows, each a positive multiple of
+its rational row, so it takes the pivots of the rational simplex and both
+witnesses and Farkas certificates are exact. Every witness and every
+certificate is re-verified over Fraction before it is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InternalError, LengthMismatch, ShapeMismatch, VerificationFailed
 from .ratmat import RationalMatrix
-from .signs import SignVector, sigma
+from .signs import SignVector, sigma, sign_of
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -27,43 +29,39 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class StrictSystem:
-    """Homogeneous system: E z = 0, componentwise signs, and sign(G z) = g_signs.
+    """Homogeneous system: E z = 0, sigma(z) = comp_signs and sigma(G z) = linear_signs.
 
-    comp_signs constrains z componentwise wherever free_mask is False; a sign
-    of 0 forces the component to vanish exactly.
+    Each part may be absent; a sign of 0 forces its component or row to vanish
+    exactly.
     """
 
     nvars: int
     equalities: Optional[RationalMatrix] = None
     comp_signs: Optional[SignVector] = None
-    free_mask: Optional[Sequence[bool]] = None
     linear_sign_rows: Optional[RationalMatrix] = None
     linear_signs: Optional[SignVector] = None
 
     def constraint_rows(self):
-        """Flatten to (row, relation) pairs; relation is '=0', '>0' or '<0'."""
+        """Flatten to (row, sign) pairs: E's rows with sign 0, then one unit row
+        per comp_signs entry, then G's rows."""
+        n = self.nvars
         rows = []
         if self.equalities is not None:
-            if self.equalities.cols != self.nvars:
+            if self.equalities.cols != n:
                 raise ShapeMismatch("equality matrix column count disagrees with nvars")
-            for row in self.equalities.entries:
-                rows.append((row, "=0"))
+            rows += [(row, 0) for row in self.equalities.entries]
         if self.comp_signs is not None:
-            if len(self.comp_signs) != self.nvars:
+            if len(self.comp_signs) != n:
                 raise LengthMismatch("comp_signs length disagrees with nvars")
-            free = self.free_mask or [False] * self.nvars
-            for i, s in enumerate(self.comp_signs):
-                if free[i]:
-                    continue
-                unit = tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.nvars))
-                rows.append((unit, {1: ">0", -1: "<0", 0: "=0"}[s]))
+            zero, one = Fraction(0), Fraction(1)
+            rows += [((zero,) * i + (one,) + (zero,) * (n - 1 - i), s)
+                     for i, s in enumerate(self.comp_signs)]
         if self.linear_sign_rows is not None:
-            if self.linear_sign_rows.cols != self.nvars:
+            if self.linear_sign_rows.cols != n:
                 raise ShapeMismatch("linear sign rows disagree with nvars")
             if self.linear_signs is None or len(self.linear_signs) != self.linear_sign_rows.rows:
                 raise LengthMismatch("one sign per linear sign row required")
-            for row, s in zip(self.linear_sign_rows.entries, self.linear_signs):
-                rows.append((row, {1: ">0", -1: "<0", 0: "=0"}[s]))
+            rows += zip(self.linear_sign_rows.entries, self.linear_signs)
         return rows
 
 
@@ -81,12 +79,13 @@ class FeasibilityResult:
 # -- phase-1 simplex ----------------------------------------------------------
 
 
-def _simplex_feasibility(nvars, eq_rows, ineq_rows):
-    """Decide {E z = rhs, A z >= rhs} exactly.
+def _simplex_feasibility(nvars, rows):
+    """Decide {row . z = 0 for sign 0, sign * (row . z) >= 1 otherwise} exactly.
 
-    Returns (witness, None) or (None, (lam_eq, lam_ineq)) where the Farkas
-    multipliers satisfy lam_ineq >= 0, sum lam_i row_i = 0 and
-    sum lam_i rhs_i > 0.
+    rows are (row, sign) pairs, the equalities first. Returns (witness, None)
+    or (None, lam), one Farkas multiplier per row: lam >= 0 on the
+    inequalities, sum lam_i row_i = 0 over the rows as oriented by their
+    signs, and the sum of the inequalities' lam_i is positive.
 
     Each tableau row is held as integers: a positive multiple of the rational
     row it stands for, cleared of denominators when it is built, pivoted as
@@ -95,32 +94,26 @@ def _simplex_feasibility(nvars, eq_rows, ineq_rows):
     rule takes the same pivots as over the rationals. The objective row
     carries its own denominator, from which the Farkas multipliers are read.
     """
-    all_rows = [(coeffs, rhs, False) for coeffs, rhs in eq_rows]
-    all_rows += [(coeffs, rhs, True) for coeffs, rhs in ineq_rows]
-    m = len(all_rows)
-    art_start = 2 * nvars + len(ineq_rows)
+    m = len(rows)
+    art_start = 2 * nvars + sum(1 for _, s in rows if s)
     n_cols = art_start + m  # z+, z-, surpluses, artificials
 
     tableau = []
-    flips = []
     scales = []
     surplus = 2 * nvars
-    for i, (coeffs, rhs, is_ineq) in enumerate(all_rows):
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    for i, (coeffs, s) in enumerate(rows):
+        scale = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        if s < 0:
+            ints = [-v for v in ints]
         row = [0] * (n_cols + 1)
         row[:nvars] = ints
         row[nvars:2 * nvars] = [-v for v in ints]
-        if is_ineq:
+        if s:
             row[surplus] = -scale
+            row[-1] = scale
             surplus += 1
-        row[-1] = rhs.numerator * (scale // rhs.denominator)
-        flip = 1
-        if row[-1] < 0:
-            row = [-e for e in row]
-            flip = -1
-        row[art_start + i] = scale  # artificial (after flip)
-        flips.append(flip)
+        row[art_start + i] = scale
         scales.append(scale)
         tableau.append(row)
 
@@ -179,68 +172,52 @@ def _simplex_feasibility(nvars, eq_rows, ineq_rows):
         return witness, None
 
     # infeasible: artificial reduced costs encode the dual multipliers
-    lam = [flips[i] * (1 - Fraction(obj[art_start + i], obj_den)) for i in range(m)]
-    lam_eq = tuple(lam[: len(eq_rows)])
-    lam_ineq = tuple(lam[len(eq_rows):])
-    _check_certificate(nvars, eq_rows, ineq_rows, lam_eq, lam_ineq)
-    return None, (lam_eq, lam_ineq)
-
-
-def _check_certificate(nvars, eq_rows, ineq_rows, lam_eq, lam_ineq):
-    if any(l < 0 for l in lam_ineq):
-        raise InternalError("Farkas multiplier for an inequality is negative")
-    combo = [Fraction(0)] * nvars
-    total = Fraction(0)
-    for (coeffs, rhs), l in list(zip(eq_rows, lam_eq)) + list(zip(ineq_rows, lam_ineq)):
-        for j, c in enumerate(coeffs):
-            combo[j] += l * Fraction(c)
-        total += l * Fraction(rhs)
-    if any(c != 0 for c in combo) or total <= 0:
-        raise InternalError("Farkas certificate does not prove infeasibility")
+    return None, [1 - Fraction(obj[art_start + i], obj_den) for i in range(m)]
 
 
 # -- strict systems -----------------------------------------------------------
 
 
-def solve_strict(sys: StrictSystem, eps: Fraction = Fraction(1)) -> FeasibilityResult:
-    """Decide the strict system exactly via the eps-relaxation (default eps=1)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def solve_strict(sys: StrictSystem) -> FeasibilityResult:
+    """Decide the strict system exactly via the eps-relaxation, eps = 1.
+
+    An infeasible system's certificate has one Farkas multiplier per row of
+    constraint_rows(), in that order.
+    """
     rows = sys.constraint_rows()
-    eq_rows = []
-    ineq_rows = []
-    ineq_origin = []
-    for idx, (coeffs, rel) in enumerate(rows):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if rel == "=0":
-            eq_rows.append((coeffs, Fraction(0)))
-        elif rel == ">0":
-            ineq_rows.append((coeffs, eps))
-            ineq_origin.append(idx)
-        else:
-            ineq_rows.append((tuple(-c for c in coeffs), eps))
-            ineq_origin.append(idx)
-    witness, certificate = _simplex_feasibility(sys.nvars, eq_rows, ineq_rows)
+    # the tableau takes the equalities first, each group in constraint order
+    order = [i for i, (_, s) in enumerate(rows) if not s]
+    order += [i for i, (_, s) in enumerate(rows) if s]
+    witness, lam = _simplex_feasibility(sys.nvars, [rows[i] for i in order])
     if witness is not None:
-        _check_strict_witness(rows, witness)
+        _check_witness(rows, witness)
         return FeasibilityResult(FEASIBLE, witness=witness)
-    lam_eq, lam_ineq = certificate
-    # report multipliers in the order of constraint_rows()
-    full = [Fraction(0)] * len(rows)
-    eq_positions = [i for i, (_, rel) in enumerate(rows) if rel == "=0"]
-    for pos, l in zip(eq_positions, lam_eq):
-        full[pos] = l
-    for pos, l in zip(ineq_origin, lam_ineq):
-        full[pos] = l
-    return FeasibilityResult(INFEASIBLE, certificate=tuple(full))
+    certificate = [None] * len(rows)
+    for i, l in zip(order, lam):
+        certificate[i] = l
+    _check_certificate(sys.nvars, rows, certificate)
+    return FeasibilityResult(INFEASIBLE, certificate=tuple(certificate))
 
 
-def _check_strict_witness(rows, witness):
-    for coeffs, rel in rows:
-        value = sum((Fraction(c) * w for c, w in zip(coeffs, witness)), Fraction(0))
-        ok = (rel == "=0" and value == 0) or (rel == ">0" and value > 0) or (rel == "<0" and value < 0)
-        if not ok:
+def _check_witness(rows, witness):
+    for coeffs, s in rows:
+        if sign_of(sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))) != s:
             raise InternalError("witness violates a strict constraint; solver bug")
+
+
+def _check_certificate(nvars, rows, certificate):
+    combo = [Fraction(0)] * nvars
+    total = Fraction(0)
+    for (coeffs, s), l in zip(rows, certificate):
+        if s:
+            if l < 0:
+                raise InternalError("Farkas multiplier for an inequality is negative")
+            total += l
+            l *= s
+        for j, c in enumerate(coeffs):
+            combo[j] += l * c
+    if any(combo) or total <= 0:
+        raise InternalError("Farkas certificate does not prove infeasibility")
 
 
 # -- named queries ------------------------------------------------------------
@@ -258,7 +235,7 @@ def feasible_sign_pair(
         raise LengthMismatch(f"tau must have length {n} matching columns of B")
     zero_r = [Fraction(0)] * r
     zero_n = [Fraction(0)] * n
-    eqs = RationalMatrix([list(row) + zero_n for row in A.entries], m, r + n) if m else None
+    eqs = RationalMatrix([list(row) + zero_n for row in A.entries], m, r + n)
     g_rows = RationalMatrix([zero_r + list(row) for row in B.entries], r, r + n)
     system = StrictSystem(
         nvars=r + n,
@@ -270,21 +247,13 @@ def feasible_sign_pair(
     return solve_strict(system)
 
 
-def split_pair_witness(result: FeasibilityResult, r: int):
-    """Split a feasible_sign_pair witness z = (x, y) into its two halves."""
-    return result.witness[:r], result.witness[r:]
-
-
 def open_halfspace_contains_rows(B: RationalMatrix) -> FeasibilityResult:
     """Feasible iff some t has b_j . t > 0 for every row b_j of B."""
-    system = StrictSystem(
-        nvars=B.cols,
-        linear_sign_rows=B,
-        linear_signs=SignVector([1] * B.rows) if B.rows else None,
-    )
     if B.rows == 0:
         return FeasibilityResult(FEASIBLE, witness=tuple(Fraction(0) for _ in range(B.cols)))
-    return solve_strict(system)
+    return solve_strict(
+        StrictSystem(nvars=B.cols, linear_sign_rows=B, linear_signs=SignVector([1] * B.rows))
+    )
 
 
 def cone_interior_membership(A: RationalMatrix, y) -> FeasibilityResult:
@@ -316,10 +285,9 @@ def cone_interior_membership(A: RationalMatrix, y) -> FeasibilityResult:
     return FeasibilityResult(FEASIBLE, witness=mu)
 
 
-def rational_point_with_sign(E: Optional[RationalMatrix], nvars: int, target: SignVector):
+def rational_point_with_sign(E: RationalMatrix, target: SignVector):
     """Exact rational z with E z = 0 and sigma(z) = target, or None."""
-    system = StrictSystem(nvars=nvars, equalities=E, comp_signs=target)
-    result = solve_strict(system)
+    result = solve_strict(StrictSystem(nvars=len(target), equalities=E, comp_signs=target))
     if not result.feasible:
         return None
     if sigma(result.witness) != target:

@@ -72,6 +72,8 @@ def _cocircuit_masks(A: RationalMatrix):
     t . a = det[A_H | a], and t = 0 exactly when A_H has rank below n-1.
     """
     n, r = A.rows, A.cols
+    if n == 0:
+        return set()  # rank 0: no hyperplane, so no cocircuit
     if rank(A) < n:
         raise RankDeficient(f"configuration has rank below {n}")
     columns, _ = integer_rows(A.transpose())

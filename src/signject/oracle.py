@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
-from .errors import TooLarge, VerificationFailed
+from .errors import ShapeMismatch, TooLarge, VerificationFailed
 from .feasibility import StrictSystem, solve_strict
 from .ratmat import RationalMatrix
 from .signs import SignVector, canonical_sort, sign_of
@@ -82,14 +82,9 @@ def fourier_motzkin_feasible(eq_rows, ineq_rows, nvars: int) -> bool:
 
 def fm_strict_feasible(sys: StrictSystem) -> bool:
     """The strict system decided through the same eps=1 relaxation, by FM."""
-    eq_rows, ineq_rows = [], []
-    for coeffs, rel in sys.constraint_rows():
-        if rel == "=0":
-            eq_rows.append((coeffs, Fraction(0)))
-        elif rel == ">0":
-            ineq_rows.append((coeffs, Fraction(1)))
-        else:
-            ineq_rows.append((tuple(-Fraction(c) for c in coeffs), Fraction(1)))
+    rows = sys.constraint_rows()
+    eq_rows = [(coeffs, 0) for coeffs, s in rows if not s]
+    ineq_rows = [(tuple(s * c for c in coeffs), 1) for coeffs, s in rows if s]
     return fourier_motzkin_feasible(eq_rows, ineq_rows, sys.nvars)
 
 
@@ -105,7 +100,7 @@ def brute_force_sign_set(M: RationalMatrix, mode: str):
         found = []
         for signs in product((-1, 0, 1), repeat=n):
             tau = SignVector(signs)
-            res = solve_strict(StrictSystem(nvars=n, equalities=M if M.rows else None, comp_signs=tau))
+            res = solve_strict(StrictSystem(nvars=n, equalities=M, comp_signs=tau))
             if res.feasible:
                 found.append(tau)
         return canonical_sort(found)
@@ -113,20 +108,15 @@ def brute_force_sign_set(M: RationalMatrix, mode: str):
         n = M.rows
         if n > SWEEP_DIM_LIMIT:
             raise TooLarge(f"orthant sweep limited to dimension {SWEEP_DIM_LIMIT}")
+        # y = M c with sigma(y) = tau: variables (c, y), c unconstrained
+        k = M.cols
+        eqs = RationalMatrix([list(M.entries[i]) + [-int(j == i) for j in range(n)] for i in range(n)], n, k + n)
+        y_rows = RationalMatrix([[0] * k + [int(j == i) for j in range(n)] for i in range(n)], n, k + n)
         found = []
         for signs in product((-1, 0, 1), repeat=n):
             tau = SignVector(signs)
-            # y = M c with sigma(y) = tau: variables (c, y)
-            k = M.cols
-            eqs = RationalMatrix(
-                [list(M.entries[i]) + [Fraction(-1) if j == i else Fraction(0) for j in range(n)] for i in range(n)],
-                n,
-                k + n,
-            )
-            target = SignVector([0] * k + list(tau))
-            free = [True] * k + [False] * n
             res = solve_strict(
-                StrictSystem(nvars=k + n, equalities=eqs, comp_signs=target, free_mask=free)
+                StrictSystem(nvars=k + n, equalities=eqs, linear_sign_rows=y_rows, linear_signs=tau)
             )
             if res.feasible:
                 found.append(tau)
@@ -147,6 +137,8 @@ def naive_symbolic_gamma_det(Aprime: RationalMatrix, B: RationalMatrix, Z):
     from .engine import SymbolicDetPoly
 
     s, r = Aprime.rows, Aprime.cols
+    if B.rows != r:
+        raise ShapeMismatch("B must have one row per column of A'")
     n = B.cols
     if n > COFACTOR_LIMIT:
         raise TooLarge(f"Leibniz expansion limited to order {COFACTOR_LIMIT}")
@@ -250,6 +242,8 @@ def sampled_injectivity_search(
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    if B.rows != A.cols:
+        raise ShapeMismatch("B must have one row per column of A")
     from .engine import FullSpace, OrthantUnion, Subspace, evaluate_map
 
     rng = random.Random(seed)
@@ -318,9 +312,7 @@ def sampled_injectivity_search(
             D = RationalMatrix(
                 [[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r
             )
-            res = solve_strict(
-                StrictSystem(nvars=r, equalities=D if m else None, comp_signs=SignVector([1] * r))
-            )
+            res = solve_strict(StrictSystem(nvars=r, equalities=D, comp_signs=SignVector([1] * r)))
             if not res.feasible:
                 infeasible.add(pattern)
                 continue

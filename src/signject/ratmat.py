@@ -32,10 +32,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -158,7 +154,7 @@ class RationalMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[format_rational(e) for e in row] for row in self.entries],
+            "entries": [[str(e) for e in row] for row in self.entries],
         }
 
     def to_json(self) -> str:
@@ -182,14 +178,6 @@ class RationalMatrix:
                 raise ParseError(f"expected {cols} entries per row, found {len(row)}")
             grid.append([parse_rational(e) for e in row])
         return cls(grid, rows, cols)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
 
 class IndexSet:

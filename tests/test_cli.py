@@ -182,6 +182,36 @@ def test_oracle_sample_rejects_negative_samples(tmp_path, capsys):
     assert err == "error: samples must be non-negative, got -3\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "sample", "--A", "A.json", "--B", "B.json"], "B must have one row per column of A"),
+    (["oracle", "gamma", "--Aprime", "A.json", "--B", "B.json"], "B must have one row per column of A'"),
+], ids=["sample", "gamma"])
+def test_oracle_rejects_mismatched_shapes(tmp_path, capsys, monkeypatch, argv, message):
+    """A 1 x 2 and B 3 x 1: exit 2, as injectivity and gamma-det do on the same files."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "A.json", M([[1, -1]]))
+    write(tmp_path, "B.json", M([[1], [2], [3]]))
+    code, payload, err = run_cli(argv, capsys)
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, body", [("covectors", ["00"]), ("cocircuits", [])])
+def test_rank_zero_configuration(tmp_path, capsys, command, body):
+    """A 0 x 2 configuration has rank 0: no cocircuit, and the zero covector only."""
+    a = tmp_path / "A.json"
+    a.write_text(json.dumps({"rows": 0, "cols": 2, "entries": []}))
+    code, payload, _ = run_cli([command, "--A", str(a)], capsys)
+    assert code == 0 and payload[command] == body
+
+
+def test_minors_rejects_negative_order(tmp_path, capsys):
+    a = write(tmp_path, "A.json", M.identity(2))
+    code, payload, err = run_cli(["minors", "--A", a, "--B", a, "--s", "-1"], capsys)
+    assert code == 2 and payload is None
+    assert err == "error: the minor order s must be non-negative, got -1\n"
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     a = write(tmp_path, "A.json", M([[1, 0], [0, 1]]))
     b = write(tmp_path, "B.json", M([[1, 0], [0, 1]]))

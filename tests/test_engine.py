@@ -226,11 +226,10 @@ def test_subspace_presentations_computed_once(monkeypatch):
 def test_counterexample_construction_direct():
     A = M([[1, -1]])
     B = M.identity(2)
-    from signject.feasibility import feasible_sign_pair, split_pair_witness
+    from signject.feasibility import feasible_sign_pair
 
     res = feasible_sign_pair(A, B, S("++"), S("++"))
-    witness = split_pair_witness(res, 2)
-    cx = construct_counterexample(A, B, FullSpace(), S("++"), S("++"), witness)
+    cx = construct_counterexample(A, B, FullSpace(), S("++"), S("++"), res.witness[2:])
     assert all(k > 0 for k in cx.kappa)
     assert mp.mpf(cx.residual_bound) < mp.mpf("1e-30")
 

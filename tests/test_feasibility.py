@@ -11,7 +11,6 @@ from signject.feasibility import (
     open_halfspace_contains_rows,
     rational_point_with_sign,
     solve_strict,
-    split_pair_witness,
 )
 from signject.oracle import fm_strict_feasible
 from signject.ratmat import RationalMatrix
@@ -50,23 +49,17 @@ def test_zero_sign_forces_exact_zero():
     assert not res.feasible  # x1 = 0 forces x2 = 0, contradicting x2 > 0
 
 
-def test_eps_independence():
-    sys = StrictSystem(nvars=3, equalities=M([[1, 1, 1]]), comp_signs=S("+-+"))
-    for eps in (Fraction(1), Fraction(1, 3), Fraction(5)):
-        assert solve_strict(sys, eps=eps).feasible
-
-
 def _check_farkas(sys, certificate):
     """Independently check that the multipliers refute the eps = 1 relaxation."""
     rows = sys.constraint_rows()
     assert len(certificate) == len(rows)
     combo = [Fraction(0)] * sys.nvars
     bound = Fraction(0)
-    for (coeffs, rel), lam in zip(rows, certificate):
-        if rel != "=0":
+    for (coeffs, sign), lam in zip(rows, certificate):
+        if sign != 0:
             assert lam >= 0
             bound += lam
-        side = -1 if rel == "<0" else 1
+        side = -1 if sign == -1 else 1
         for j, c in enumerate(coeffs):
             combo[j] += side * lam * c
     assert all(c == 0 for c in combo)
@@ -76,21 +69,29 @@ def _check_farkas(sys, certificate):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_matches_fourier_motzkin(nvars, m, k, rnd):
+    """Coordinates are left unconstrained by drawing comp_signs=None and
+    constraining some coordinates through unit rows among the linear sign rows."""
     def entry():
         return Fraction(rnd.randint(-4, 4), rnd.randint(1, 7))
 
     def signs(length):
         return SignVector([rnd.choice([-1, 0, 1]) for _ in range(length)])
 
-    E = M([[entry() for _ in range(nvars)] for _ in range(m)]) if m else None
-    G = M([[entry() for _ in range(nvars)] for _ in range(k)]) if k else None
+    def unit(i):
+        return [Fraction(int(j == i)) for j in range(nvars)]
+
+    comp = signs(nvars) if rnd.random() < 0.5 else None
+    g_rows = [[entry() for _ in range(nvars)] for _ in range(k)]
+    if comp is None:
+        g_rows += [unit(i) for i in range(nvars) if rnd.random() < 0.7]
+    E = M([[entry() for _ in range(nvars)] for _ in range(m)], m, nvars)
+    G = M(g_rows) if g_rows else None
     sys = StrictSystem(
         nvars=nvars,
         equalities=E,
-        comp_signs=signs(nvars),
-        free_mask=[rnd.random() < 0.3 for _ in range(nvars)],
+        comp_signs=comp,
         linear_sign_rows=G,
-        linear_signs=signs(k) if k else None,
+        linear_signs=signs(len(g_rows)) if g_rows else None,
     )
     res = solve_strict(sys)
     assert res.feasible == fm_strict_feasible(sys)
@@ -114,7 +115,7 @@ def test_feasible_sign_pair_worked():
     B = M.identity(2)
     res = feasible_sign_pair(A, B, S("++"), S("++"))
     assert res.feasible
-    x, y = split_pair_witness(res, 2)
+    x, y = res.witness[:2], res.witness[2:]
     assert all(v > 0 for v in x) and all(v > 0 for v in y)
     assert x[0] == x[1]  # ker(1,-1)
     res = feasible_sign_pair(A, B, S("+-"), S("++"))
@@ -139,7 +140,9 @@ def test_cone_interior():
 
 
 def test_rational_point_with_sign():
-    z = rational_point_with_sign(M([[1, 1, 1]]), 3, S("+-+"))
+    z = rational_point_with_sign(M([[1, 1, 1]]), S("+-+"))
     assert z is not None
     assert sum(z) == 0 and sigma(z) == S("+-+")
-    assert rational_point_with_sign(M([[1, 0], [0, 1]]), 2, S("++")) is None
+    assert rational_point_with_sign(M([[1, 0], [0, 1]]), S("++")) is None
+    # a 0-row equality matrix adds no rows
+    assert sigma(rational_point_with_sign(M([], 0, 2), S("-0"))) == S("-0")

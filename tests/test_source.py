@@ -1,7 +1,8 @@
 """Static checks of the package source, made with ast (no linter needed).
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
-instead; and every import is used.
+instead; every import is used; and no module but ``cli.py`` touches the
+environment.
 """
 import ast
 from pathlib import Path
@@ -40,3 +41,21 @@ def test_no_unused_imports(path):
             used |= {elt.value for elt in node.value.elts}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_the_cli_reads_the_environment(path):
+    """The library reads no environment variable: precision and every other
+    setting arrive as parameters, and only cli.py maps the environment onto them."""
+    lines = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+            alias.name in ENVIRONMENT_NAMES for alias in node.names
+        ):
+            lines.append(node.lineno)
+    assert lines == [], f"{path.name}: environment access at lines {lines}"
