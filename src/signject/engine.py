@@ -29,7 +29,6 @@ from .feasibility import (
 )
 from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
 from .ratmat import (
-    IndexSet,
     RationalMatrix,
     column_basis,
     det,
@@ -170,7 +169,7 @@ def gamma_det_poly(
                 if (m := det(Aprime.submatrix(full_s, J))) != 0]
     for I in combinations(range(n), s):
         Ic = [i for i in range(n) if i not in set(I)]
-        tau = permutation_sign_tau(IndexSet(I, n), n)
+        tau = permutation_sign_tau(I, n)
         z_minor = Fraction(1) if Z is None else det(Z.submatrix(full_ns, Ic))
         if z_minor == 0:
             continue
@@ -509,6 +508,13 @@ def _pivot_rows(A: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(rows, len(rows), A.cols)
 
 
+def _zero_mu(r: int) -> SignVector:
+    """mu = 0 in {-,0,+}^r: the sign of By for a y in ker(B)."""
+    if not r:
+        raise ShapeMismatch("the ground set is empty: A has no columns, so mu = 0 has no coordinate")
+    return SignVector.zero(r)
+
+
 def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     """The exhaustive feasibility search over (mu, tau) pairs.
 
@@ -526,7 +532,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     if shared:
         tau = shared[0]
         y_hat = rational_point_with_sign(B, tau)
-        cx = construct_counterexample(A, B, S, SignVector.zero(r), tau, y_hat, prec)
+        cx = construct_counterexample(A, B, S, _zero_mu(r), tau, y_hat, prec)
         return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
@@ -590,7 +596,7 @@ def _check_full_space(A, B, warnings, prec):
     if rank(B) < n:
         # ker(B) nontrivial: the monomial map itself is not injective
         kv = kernel_basis(B).column(0)
-        cx = construct_counterexample(A, B, S, SignVector.zero(r), sigma(kv), kv, prec)
+        cx = construct_counterexample(A, B, S, _zero_mu(r), sigma(kv), kv, prec)
         return Verdict(
             False,
             "full_space",

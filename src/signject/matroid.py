@@ -92,6 +92,8 @@ def _cocircuit_masks(A: RationalMatrix):
 
 def _sign_vectors(masks, r: int):
     """The (pos, neg) pairs over r coordinates as a canonically sorted SignVector tuple."""
+    if not r and masks:
+        raise ShapeMismatch("the ground set is empty: a sign vector needs at least one coordinate")
     return tuple(sorted(SignVector((pos >> j & 1) - (neg >> j & 1) for j in range(r)) for pos, neg in masks))
 
 

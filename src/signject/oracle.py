@@ -93,35 +93,24 @@ def fm_strict_feasible(sys: StrictSystem) -> bool:
 
 def brute_force_sign_set(M: RationalMatrix, mode: str):
     """sigma(ker M) or sigma(im M) by sweeping all 3^n orthants (dim <= 5)."""
-    if mode == "kernel":
-        n = M.cols
-        if n > SWEEP_DIM_LIMIT:
-            raise TooLarge(f"orthant sweep limited to dimension {SWEEP_DIM_LIMIT}")
-        found = []
-        for signs in product((-1, 0, 1), repeat=n):
-            tau = SignVector(signs)
-            res = solve_strict(StrictSystem(nvars=n, equalities=M, comp_signs=tau))
-            if res.feasible:
-                found.append(tau)
-        return canonical_sort(found)
-    if mode == "image":
-        n = M.rows
-        if n > SWEEP_DIM_LIMIT:
-            raise TooLarge(f"orthant sweep limited to dimension {SWEEP_DIM_LIMIT}")
-        # y = M c with sigma(y) = tau: variables (c, y), c unconstrained
-        k = M.cols
-        eqs = RationalMatrix([list(M.entries[i]) + [-int(j == i) for j in range(n)] for i in range(n)], n, k + n)
-        y_rows = RationalMatrix([[0] * k + [int(j == i) for j in range(n)] for i in range(n)], n, k + n)
-        found = []
-        for signs in product((-1, 0, 1), repeat=n):
-            tau = SignVector(signs)
-            res = solve_strict(
-                StrictSystem(nvars=k + n, equalities=eqs, linear_sign_rows=y_rows, linear_signs=tau)
-            )
-            if res.feasible:
-                found.append(tau)
-        return canonical_sort(found)
-    raise ValueError("mode must be 'kernel' or 'image'")
+    if mode not in ("kernel", "image"):
+        raise ValueError("mode must be 'kernel' or 'image'")
+    n = M.cols if mode == "kernel" else M.rows
+    if not n:
+        raise ShapeMismatch(f"the ground set is empty: the {mode} of M lies in R^0")
+    if n > SWEEP_DIM_LIMIT:
+        raise TooLarge(f"orthant sweep limited to dimension {SWEEP_DIM_LIMIT}")
+    found = []
+    for signs in product((-1, 0, 1), repeat=n):
+        tau = SignVector(signs)
+        # x in ker M with sigma(x) = tau, or c with sigma(M c) = tau
+        if mode == "kernel":
+            system = StrictSystem(nvars=n, equalities=M, comp_signs=tau)
+        else:
+            system = StrictSystem(nvars=M.cols, linear_sign_rows=M, linear_signs=tau)
+        if solve_strict(system).feasible:
+            found.append(tau)
+    return canonical_sort(found)
 
 
 # -- symbolic determinant by Leibniz ------------------------------------------

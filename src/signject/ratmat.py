@@ -180,44 +180,6 @@ class RationalMatrix:
         return cls(grid, rows, cols)
 
 
-class IndexSet:
-    """Sorted distinct 0-based indices into a ground set of declared size."""
-
-    __slots__ = ("indices", "ground_size")
-
-    def __init__(self, indices, ground_size: int):
-        idx = tuple(sorted(set(int(i) for i in indices)))
-        if len(idx) != len(tuple(indices)):
-            raise SizeMismatch("repeated indices in IndexSet")
-        if idx and (idx[0] < 0 or idx[-1] >= ground_size):
-            raise SizeMismatch(f"index out of range for ground set of size {ground_size}")
-        self.indices = idx
-        self.ground_size = ground_size
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndexSet)
-            and self.indices == other.indices
-            and self.ground_size == other.ground_size
-        )
-
-    def __hash__(self):
-        return hash((self.indices, self.ground_size))
-
-    def __repr__(self):
-        return f"IndexSet({list(self.indices)}, {self.ground_size})"
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.indices)
-        return IndexSet([i for i in range(self.ground_size) if i not in inside], self.ground_size)
-
-
 # -- elimination --------------------------------------------------------------
 
 
@@ -343,18 +305,9 @@ def det(M: RationalMatrix) -> Fraction:
     return Fraction(integer_det(rows), prod(scales))
 
 
-def minor(M: RationalMatrix, I: IndexSet, J: IndexSet) -> Fraction:
-    """det of the submatrix M_{I,J}; |I| must equal |J|."""
-    if len(I) != len(J):
-        raise SizeMismatch(f"minor needs |I| = |J|, got {len(I)} and {len(J)}")
-    return det(M.submatrix(I, J))
-
-
-def permutation_sign_tau(I: IndexSet, n: int) -> int:
-    """Sign of the permutation sending 1..n to (sorted I^c, sorted I)."""
-    if I.ground_size != n:
-        raise SizeMismatch("IndexSet ground size disagrees with n")
-    arrangement = list(I.complement()) + list(I)
+def permutation_sign_tau(I, n: int) -> int:
+    """Sign of the permutation sending 1..n to (sorted I^c, sorted I), for a sorted tuple I."""
+    arrangement = [i for i in range(n) if i not in I] + list(I)
     inversions = sum(
         1
         for a in range(len(arrangement))
@@ -387,14 +340,14 @@ def verify_gale_relation(C: RationalMatrix, Z: RationalMatrix) -> Fraction:
     n, s = C.rows, C.cols
     if Z.cols != n or Z.rows != n - s:
         raise ShapeMismatch("Z must be (n-s) x n for C of shape n x s")
-    full_s = IndexSet(range(s), s)
-    full_ns = IndexSet(range(n - s), n - s)
+    full_s = range(s)
+    full_ns = range(n - s)
     delta = None
     checks = []
-    for combo in combinations(range(n), s):
-        I = IndexSet(combo, n)
-        lhs = minor(C, I, full_s)
-        rhs = permutation_sign_tau(I, n) * minor(Z, full_ns, I.complement())
+    for I in combinations(range(n), s):
+        lhs = det(C.submatrix(I, full_s))
+        Ic = [i for i in range(n) if i not in I]
+        rhs = permutation_sign_tau(I, n) * det(Z.submatrix(full_ns, Ic))
         checks.append((I, lhs, rhs))
         if delta is None and lhs != 0:
             if rhs == 0:

@@ -222,6 +222,75 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+NO_SUCH_FILE = "[Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["injectivity", "--A", "missing.json", "--B", "I.json", "--full-space"],
+     f"cannot read missing.json: {NO_SUCH_FILE}: 'missing.json'"),
+    (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "missing.txt"],
+     f"cannot read missing.txt: {NO_SUCH_FILE}: 'missing.txt'"),
+    (["crn", "special", "missing.txt", "--M", "I.json"],
+     f"cannot read missing.txt: {NO_SUCH_FILE}: 'missing.txt'"),
+    (["crn", "preclude", "net.txt", "--kinetic-orders", "missing.json"],
+     f"cannot read missing.json: {NO_SUCH_FILE}: 'missing.json'"),
+    (["minors", "--A", "I.json", "--B", "bad.json", "--s", "1"],
+     "bad matrix file bad.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["crn", "preclude", "net.txt", "--kinetic-orders", "bad.json"],
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["chirotope", "--A", "latin1.json"],
+     "bad matrix file latin1.json: 'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
+    (["--output", "missing/out.json", "chirotope", "--A", "I.json"],
+     f"cannot write missing/out.json: {NO_SUCH_FILE}: 'missing/out.json'"),
+], ids=["matrix", "sign-file", "network", "kinetic-orders", "malformed-matrix", "malformed-kinetic-orders",
+        "not-utf8", "unwritable-output"])
+def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
+    """Each unreadable or malformed input: exit 2, no JSON, and one stderr line."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "I.json", M.identity(2))
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "latin1.json").write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}')
+    (tmp_path / "net.txt").write_text("k1: A -> B\nk2: B -> A\n")
+    code, payload, err = run_cli(argv, capsys)
+    assert (code, payload, err) == (2, None, f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv, matrices, line", [
+    (["covectors", "--A", "A.json"], {"A.json": (0, 0)},
+     "a sign vector needs at least one coordinate"),
+    (["oracle", "sign-set", "--M", "M.json", "--mode", "image"], {"M.json": (0, 2)},
+     "the image of M lies in R^0"),
+    (["oracle", "sign-set", "--M", "M.json", "--mode", "kernel"], {"M.json": (2, 0)},
+     "the kernel of M lies in R^0"),
+    *[(["injectivity", "--A", "A.json", "--B", "B.json", *subset], {"A.json": (1, 0), "B.json": (0, 1)},
+       "A has no columns, so mu = 0 has no coordinate")
+      for subset in (["--full-space"], ["--S-signs", "T.txt"], ["--S-image", "C.json"])],
+], ids=["covectors", "sign-set-image", "sign-set-kernel",
+        "injectivity-full-space", "injectivity-signs", "injectivity-image"])
+def test_empty_ground_set(tmp_path, capsys, monkeypatch, argv, matrices, line):
+    """Sign vectors over no coordinate: exit 2 with a shape error, no JSON."""
+    monkeypatch.chdir(tmp_path)
+    for name, (rows, cols) in matrices.items():
+        (tmp_path / name).write_text(json.dumps({"rows": rows, "cols": cols, "entries": [[]] * rows}))
+    (tmp_path / "T.txt").write_text("+\n")
+    write(tmp_path, "C.json", M([[1]]))
+    code, payload, err = run_cli(argv, capsys)
+    assert (code, payload, err) == (2, None, f"error: the ground set is empty: {line}\n")
+
+
+@pytest.mark.parametrize("command, body", [
+    ("chirotope", {"rank": 0, "ground_size": 0, "signs": [{"subset": [], "sign": 1}]}),
+    ("cocircuits", {"cocircuits": []}),
+])
+def test_empty_configuration_without_sign_vectors(tmp_path, capsys, command, body):
+    """A 0 x 0 configuration keeps its output: one maximal minor, the empty one
+    (det 1), and no cocircuit."""
+    a = tmp_path / "A.json"
+    a.write_text(json.dumps({"rows": 0, "cols": 0, "entries": []}))
+    code, payload, _ = run_cli([command, "--A", str(a)], capsys)
+    assert code == 0 and payload == {"schema_version": "1", "command": command, **body}
+
+
 def test_size_guard_exit_code(tmp_path, capsys):
     wide = write(tmp_path, "W.json", M([[1] * 17]))
     code, _, _ = run_cli(["covectors", "--A", wide], capsys)

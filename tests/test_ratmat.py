@@ -17,14 +17,12 @@ from signject.errors import (
 )
 from signject.oracle import cofactor_det
 from signject.ratmat import (
-    IndexSet,
     RationalMatrix,
     det,
     gale_dual,
     integer_rows,
     integer_rref,
     kernel_basis,
-    minor,
     parse_rational,
     permutation_sign_tau,
     rank,
@@ -179,23 +177,11 @@ def test_kernel_identity(rows, cols, rnd):
         assert all(v == 0 for v in A.apply(K.column(j)))
 
 
-def test_minor_and_index_set():
-    A = M([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    I = IndexSet([0, 2], 3)
-    J = IndexSet([1, 2], 3)
-    assert minor(A, I, J) == det(M([[2, 3], [8, 10]]))
-    assert list(I.complement()) == [1]
-    with pytest.raises(SizeMismatch):
-        IndexSet([0, 0], 3)
-    with pytest.raises(SizeMismatch):
-        minor(A, IndexSet([0], 3), IndexSet([0, 1], 3))
-
-
 def test_permutation_sign_tau():
     # worked values on ground size 3 (0-based index sets)
-    assert permutation_sign_tau(IndexSet([1, 2], 3), 3) == 1
-    assert permutation_sign_tau(IndexSet([0, 2], 3), 3) == -1
-    assert permutation_sign_tau(IndexSet([0, 1], 3), 3) == 1
+    assert permutation_sign_tau((1, 2), 3) == 1
+    assert permutation_sign_tau((0, 2), 3) == -1
+    assert permutation_sign_tau((0, 1), 3) == 1
 
 
 def test_gale_dual_worked():

@@ -1,8 +1,8 @@
 """Static checks of the package source, made with ast (no linter needed).
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
-instead; every import is used; and no module but ``cli.py`` touches the
-environment.
+instead; every import is used; no module but ``cli.py`` touches the
+environment; and no function but ``cli.main`` writes output.
 """
 import ast
 from pathlib import Path
@@ -59,3 +59,31 @@ def test_only_the_cli_reads_the_environment(path):
         ):
             lines.append(node.lineno)
     assert lines == [], f"{path.name}: environment access at lines {lines}"
+
+
+OUTPUT_STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_writes_output(path):
+    """No function but cli.main calls print or touches sys.stdout / sys.stderr,
+    so the JSON payload, the summary and the error lines have one writer."""
+    tree = _tree(path)
+    allowed = set()
+    if path.name == "cli.py":
+        main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+        allowed = {id(node) for node in ast.walk(main)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Name) and node.id == "print":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in OUTPUT_STREAMS
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+            alias.name in OUTPUT_STREAMS for alias in node.names
+        ):
+            lines.append(node.lineno)
+    assert lines == [], f"{path.name}: output written outside cli.main at lines {lines}"
