@@ -9,8 +9,9 @@ check failed.
 
 ``build_parser`` decides the command: each leaf subcommand sets its handler
 (``func``) and its JSON command name (``command``). A handler reads its inputs
-through ``_read``, which reports any unreadable file as ``cannot read ...``,
-runs the decision and returns ``(holds, body, summary)``; it writes nothing.
+through ``_load``, which names the file in any error (``cannot read ...`` or
+``bad <kind> file ...``), runs the decision and returns ``(holds, body,
+summary)``; it writes nothing.
 ``main`` alone writes output: the JSON (``schema_version`` and ``command``
 ahead of ``body``), the summary, and exit 0 or 3 from ``holds``; or, for an
 error, one line on stderr and exit 2, 4 or 5.
@@ -48,32 +49,35 @@ EXIT_TOO_LARGE = 4
 EXIT_INTERNAL = 5
 
 
-def _read(path: str) -> str:
+def _load(kind: str, path: str, parse):
+    """parse(the text of the file at path). An error names the file: ``cannot
+    read <path>`` if it cannot be opened or read, ``bad <kind> file <path>`` if
+    its text is not UTF-8 or does not parse."""
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
+        return parse(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (SignjectError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {kind} file {path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> RationalMatrix:
-    try:
-        return RationalMatrix.from_json_dict(json.loads(_read(path)))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad matrix file {path}: {exc}") from exc
+    return _load("matrix", path, lambda text: RationalMatrix.from_json_dict(json.loads(text)))
 
 
-def _load_signs(path: str):
+def _parse_signs(text: str):
     # lines end at "\n" only; str.splitlines would also end them at \v, \f and \x1c-\x1e
-    lines = (raw.strip() for raw in _read(path).split("\n"))
+    lines = (raw.strip() for raw in text.split("\n"))
     return tuple(SignVector.parse(ln) for ln in lines if ln and not ln.startswith("#"))
 
 
 def _load_network(args) -> crn.ReactionNetwork:
-    net = crn.parse_network(_read(args.netfile))
-    if args.kinetic_orders:
-        net = crn.apply_kinetic_orders(net, json.loads(_read(args.kinetic_orders)))
-    return net
+    net = _load("network", args.netfile, crn.parse_network)
+    if not args.kinetic_orders:
+        return net
+    return _load("kinetic-order", args.kinetic_orders, lambda text: crn.apply_kinetic_orders(net, json.loads(text)))
 
 
 def _parse_vector(text: str):
@@ -90,7 +94,7 @@ def _subset_from_args(args):
         return Subspace(C=_load_matrix(args.S_image))
     if args.S_kernel:
         return Subspace(Z=_load_matrix(args.S_kernel))
-    return OrthantUnion(_load_signs(args.S_signs))
+    return OrthantUnion(_load("sign", args.S_signs, _parse_signs))
 
 
 # -- one handler per leaf command: each returns (holds, body, summary) ---------

@@ -135,6 +135,8 @@ def render(net: ReactionNetwork) -> str:
 
 def apply_kinetic_orders(net: ReactionNetwork, mapping: dict) -> ReactionNetwork:
     """Override kinetic orders from {label: {species: rational string}} or row lists."""
+    if not isinstance(mapping, dict):
+        raise ParseError("kinetic orders must be an object keyed by reaction label")
     n = len(net.species)
     index = {name: i for i, name in enumerate(net.species)}
     labels = {label: j for j, (label, _, _) in enumerate(net.reactions)}
@@ -149,10 +151,12 @@ def apply_kinetic_orders(net: ReactionNetwork, mapping: dict) -> ReactionNetwork
                 if name not in index:
                     raise UnknownSpecies(f"unknown species {name!r} in kinetic-order override")
                 rows[j][index[name]] = parse_rational(str(value))
-        else:
+        elif isinstance(row, (list, tuple)):
             if len(row) != n:
                 raise ShapeMismatch(f"kinetic-order row for {label!r} must have length {n}")
             rows[j] = [parse_rational(str(v)) for v in row]
+        else:
+            raise ParseError(f"kinetic orders of {label!r} must be an object or a list")
     V2 = RationalMatrix(rows, len(net.reactions), n)
     return ReactionNetwork(net.species, net.reactions, kinetic_orders=V2, warnings=net.warnings)
 

@@ -10,7 +10,9 @@ system is solved by a phase-1 simplex with Bland's rule, so termination is
 guaranteed. The simplex works on integer rows, each a positive multiple of
 its rational row, so it takes the pivots of the rational simplex and both
 witnesses and Farkas certificates are exact. Every witness and every
-certificate is re-verified over Fraction before it is returned.
+certificate is re-verified over Fraction before it is returned, on the
+nonzero entries of the same (row, sign) pairs: a zero coefficient or a zero
+multiplier adds nothing to a sum, so it is skipped.
 """
 from __future__ import annotations
 
@@ -172,7 +174,7 @@ def _simplex_feasibility(nvars, rows):
         return witness, None
 
     # infeasible: artificial reduced costs encode the dual multipliers
-    return None, [1 - Fraction(obj[art_start + i], obj_den) for i in range(m)]
+    return None, [Fraction(obj_den - obj[art_start + i], obj_den) for i in range(m)]
 
 
 # -- strict systems -----------------------------------------------------------
@@ -201,7 +203,7 @@ def solve_strict(sys: StrictSystem) -> FeasibilityResult:
 
 def _check_witness(rows, witness):
     for coeffs, s in rows:
-        if sign_of(sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))) != s:
+        if sign_of(sum((c * w for c, w in zip(coeffs, witness) if c), Fraction(0))) != s:
             raise InternalError("witness violates a strict constraint; solver bug")
 
 
@@ -214,8 +216,10 @@ def _check_certificate(nvars, rows, certificate):
                 raise InternalError("Farkas multiplier for an inequality is negative")
             total += l
             l *= s
-        for j, c in enumerate(coeffs):
-            combo[j] += l * c
+        if l:
+            for j, c in enumerate(coeffs):
+                if c:
+                    combo[j] += l * c
     if any(combo) or total <= 0:
         raise InternalError("Farkas certificate does not prove infeasibility")
 

@@ -29,7 +29,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not an exact rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator: {text!r}") from None
 
 
 def _coerce(value) -> Fraction:
@@ -168,16 +171,21 @@ class RationalMatrix:
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed matrix object: missing {exc}") from exc
-        if not isinstance(rows, int) or not isinstance(cols, int):
+        # type(...) is int: JSON true and false are bools, which are ints
+        if type(rows) is not int or type(cols) is not int:
             raise ParseError("matrix rows/cols must be integers")
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ParseError("matrix entries must be a list of rows, each a list")
         if len(entries) != rows:
             raise ParseError(f"expected {rows} rows, found {len(entries)}")
-        grid = []
         for row in entries:
             if len(row) != cols:
                 raise ParseError(f"expected {cols} entries per row, found {len(row)}")
-            grid.append([parse_rational(e) for e in row])
-        return cls(grid, rows, cols)
+            for e in row:
+                # a JSON integer reads as its "p" string does
+                if type(e) is not int and not isinstance(e, str):
+                    raise ParseError(f"matrix entries are \"p/q\" strings or integers, not {e!r}")
+        return cls(entries, rows, cols)
 
 
 # -- elimination --------------------------------------------------------------

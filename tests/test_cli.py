@@ -237,7 +237,7 @@ NO_SUCH_FILE = "[Errno 2] No such file or directory"
     (["minors", "--A", "I.json", "--B", "bad.json", "--s", "1"],
      "bad matrix file bad.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["crn", "preclude", "net.txt", "--kinetic-orders", "bad.json"],
-     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+     "bad kinetic-order file bad.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     (["chirotope", "--A", "latin1.json"],
      "bad matrix file latin1.json: 'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
     (["--output", "missing/out.json", "chirotope", "--A", "I.json"],
@@ -251,6 +251,37 @@ def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "latin1.json").write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}')
     (tmp_path / "net.txt").write_text("k1: A -> B\nk2: B -> A\n")
+    code, payload, err = run_cli(argv, capsys)
+    assert (code, payload, err) == (2, None, f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    *[(["chirotope", "--A", "in.json"], f'{{"rows": 1, "cols": 2, "entries": [[{entry}, -1]]}}',
+       f'bad matrix file in.json: matrix entries are "p/q" strings or integers, not {shown}')
+      for entry, shown in (("true", "True"), ("null", "None"), ("1.5", "1.5"))],
+    (["chirotope", "--A", "in.json"], '{"rows": 2, "cols": 1, "entries": [["1"]]}',
+     "bad matrix file in.json: expected 2 rows, found 1"),
+    (["chirotope", "--A", "in.json"], '{"rows": 1, "cols": 1, "entries": [["1/0"]]}',
+     "bad matrix file in.json: zero denominator: '1/0'"),
+    *[(["crn", "preclude", "net.txt", "--kinetic-orders", "in.json"], text,
+       "bad kinetic-order file in.json: kinetic orders must be an object keyed by reaction label")
+      for text in ("[]", '"s"')],
+    (["crn", "preclude", "net.txt", "--kinetic-orders", "in.json"], '{"k1": 5}',
+     "bad kinetic-order file in.json: kinetic orders of 'k1' must be an object or a list"),
+    (["crn", "preclude", "net.txt", "--kinetic-orders", "in.json"], '{"k1": {"A": "1/0"}}',
+     "bad kinetic-order file in.json: zero denominator: '1/0'"),
+    (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\nx+\n",
+     "bad sign file in.txt: invalid sign character in 'x+'"),
+    (["crn", "preclude", "in.txt"], "k1 A -> B\n",
+     "bad network file in.txt: expected 'label: reactant -> product' (line 1, column 1)"),
+], ids=["matrix-true", "matrix-null", "matrix-float", "matrix-rows", "matrix-zero-denominator", "kinetic-list",
+        "kinetic-string", "kinetic-row-number", "kinetic-zero-denominator", "sign-file", "network-file"])
+def test_bad_file_lines(tmp_path, capsys, monkeypatch, argv, text, line):
+    """A file that reads but does not parse: exit 2, no JSON, one line naming the file."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "I.json", M.identity(2))
+    (tmp_path / "net.txt").write_text("k1: A -> B\nk2: B -> A\n")
+    (tmp_path / next(a for a in argv if a.startswith("in."))).write_text(text)
     code, payload, err = run_cli(argv, capsys)
     assert (code, payload, err) == (2, None, f"error: {line}\n")
 

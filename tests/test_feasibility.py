@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signject.errors import InternalError
 from signject.feasibility import (
     StrictSystem,
+    _check_certificate,
+    _check_witness,
     cone_interior_membership,
     feasible_sign_pair,
     open_halfspace_contains_rows,
@@ -14,7 +17,7 @@ from signject.feasibility import (
 )
 from signject.oracle import fm_strict_feasible
 from signject.ratmat import RationalMatrix
-from signject.signs import SignVector, sigma
+from signject.signs import SignVector, sigma, sign_of
 
 M = RationalMatrix
 S = SignVector.parse
@@ -50,25 +53,35 @@ def test_zero_sign_forces_exact_zero():
 
 
 def _check_farkas(sys, certificate):
-    """Independently check that the multipliers refute the eps = 1 relaxation."""
+    """Dense reference: do the multipliers refute the eps = 1 relaxation?"""
     rows = sys.constraint_rows()
-    assert len(certificate) == len(rows)
     combo = [Fraction(0)] * sys.nvars
     bound = Fraction(0)
     for (coeffs, sign), lam in zip(rows, certificate):
         if sign != 0:
-            assert lam >= 0
+            if lam < 0:
+                return False
             bound += lam
         side = -1 if sign == -1 else 1
         for j, c in enumerate(coeffs):
             combo[j] += side * lam * c
-    assert all(c == 0 for c in combo)
-    assert bound > 0
+    return len(certificate) == len(rows) and all(c == 0 for c in combo) and bound > 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
-def test_matches_fourier_motzkin(nvars, m, k, rnd):
+def _witness_holds(rows, witness):
+    """Dense reference: does the witness give every row its sign?"""
+    return all(sign_of(sum(c * w for c, w in zip(coeffs, witness))) == s for coeffs, s in rows)
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except InternalError:
+        return False
+    return True
+
+
+def _draw_system(nvars, m, k, rnd):
     """Coordinates are left unconstrained by drawing comp_signs=None and
     constraining some coordinates through unit rows among the linear sign rows."""
     def entry():
@@ -86,17 +99,62 @@ def test_matches_fourier_motzkin(nvars, m, k, rnd):
         g_rows += [unit(i) for i in range(nvars) if rnd.random() < 0.7]
     E = M([[entry() for _ in range(nvars)] for _ in range(m)], m, nvars)
     G = M(g_rows) if g_rows else None
-    sys = StrictSystem(
+    return StrictSystem(
         nvars=nvars,
         equalities=E,
         comp_signs=comp,
         linear_sign_rows=G,
         linear_signs=signs(len(g_rows)) if g_rows else None,
     )
+
+
+strict_systems = given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None)
+@strict_systems
+def test_matches_fourier_motzkin(nvars, m, k, rnd):
+    sys = _draw_system(nvars, m, k, rnd)
     res = solve_strict(sys)
     assert res.feasible == fm_strict_feasible(sys)
     if not res.feasible:
-        _check_farkas(sys, res.certificate)
+        assert _check_farkas(sys, res.certificate)
+
+
+@settings(max_examples=150, deadline=None)
+@strict_systems
+def test_rechecks_reject_bad_results(nvars, m, k, rnd):
+    """The sparse re-checks raise on a perturbed certificate or a negated
+    witness, and accept exactly what the dense references accept."""
+    sys = _draw_system(nvars, m, k, rnd)
+    rows = sys.constraint_rows()
+    res = solve_strict(sys)
+    if res.feasible:
+        w = res.witness
+        negated = tuple(-v for v in w)
+        if any(s for _, s in rows):
+            with pytest.raises(InternalError):
+                _check_witness(rows, negated)
+        scaled = tuple(2 * v for v in w)
+        drawn = tuple(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in w)
+        for cand in (w, negated, scaled, drawn):
+            assert _accepts(_check_witness, rows, cand) == _witness_holds(rows, cand)
+        return
+    lam = list(res.certificate)
+    candidates = [lam, [3 * v for v in lam], [Fraction(rnd.randint(-2, 2)) for _ in lam]]
+    for i, (coeffs, s) in enumerate(rows):
+        bad = []
+        if any(coeffs):
+            delta = Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 5), rnd.randint(1, 5))
+            bad.append(lam[:i] + [lam[i] + delta] + lam[i + 1:])
+        if s and lam[i] > 0:
+            bad.append(lam[:i] + [-lam[i]] + lam[i + 1:])
+        for cand in bad:
+            with pytest.raises(InternalError):
+                _check_certificate(nvars, rows, cand)
+        candidates += bad
+    for cand in candidates:
+        assert _accepts(_check_certificate, nvars, rows, cand) == _check_farkas(sys, cand)
 
 
 @settings(max_examples=40, deadline=None)

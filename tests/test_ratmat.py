@@ -37,7 +37,7 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(" +2/6 ") == Fraction(1, 3)
-    for bad in ("1.5", "1e3", "a", "1/2/3", ""):
+    for bad in ("1.5", "1e3", "a", "1/2/3", "", "1/0", "-0/00"):
         with pytest.raises(ParseError):
             parse_rational(bad)
 
@@ -49,6 +49,22 @@ def test_json_round_trip():
     data["entries"][0][0] = "0.5"
     with pytest.raises(ParseError):
         RationalMatrix.from_json_dict(data)
+
+
+def test_json_integer_entries():
+    """A JSON integer reads as its "p" string does; any other non-string is a ParseError."""
+    data = {"rows": 1, "cols": 2, "entries": [[1, -1]]}
+    assert RationalMatrix.from_json_dict(data) == M([["1", "-1"]])
+    big = 10**40
+    assert RationalMatrix.from_json_dict({"rows": 1, "cols": 1, "entries": [[big]]}) == M([[str(big)]])
+    for bad in (True, False, None, 1.5, [1], {"p": 1}):
+        with pytest.raises(ParseError):
+            RationalMatrix.from_json_dict({"rows": 1, "cols": 2, "entries": [[bad, -1]]})
+    # a string is not a list of entries, and true is not a row count
+    for bad in ({"rows": 1, "cols": 2, "entries": ["12"]}, {"rows": 2, "cols": 1, "entries": "12"},
+                {"rows": True, "cols": 2, "entries": [["1", "2"]]}):
+        with pytest.raises(ParseError):
+            RationalMatrix.from_json_dict(bad)
 
 
 def test_shape_checks():
