@@ -83,8 +83,8 @@ def _load_network(args) -> crn.ReactionNetwork:
 def _parse_vector(text: str):
     try:
         return tuple(parse_rational(p.strip()) for p in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad rational vector {text!r}") from exc
+    except ParseError as exc:
+        raise ParseError(f"bad rational vector {text!r}: {exc}") from exc
 
 
 def _subset_from_args(args):

@@ -17,11 +17,12 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from .engine import DEFAULT_PRECISION_BITS, Subspace, Verdict, check_injectivity, exponential_pair
+from .engine import (DEFAULT_PRECISION_BITS, Subspace, Verdict, _monomials, check_injectivity,
+                     exponential_pair, rational_point_in_subset)
 from .errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
-from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
+from .feasibility import rational_point_with_sign
 from .matroid import common_sign_vectors
-from .ratmat import RationalMatrix, parse_rational
+from .ratmat import RationalMatrix, integer_monomial, parse_rational
 from .signs import SignVector
 
 NUMERIC_DIGITS = 50
@@ -249,8 +250,9 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     whether the search stopped at STEADY_STATE_LP_BUDGET LPs).
 
     y > 0 is screened on integers over the common denominator d of the grid
-    and the basis; y and the monomial rows are built only for the candidates
-    that reach an LP, and x's rows once per x.
+    and the basis. The monomial rows are built from those integers, by
+    ratmat.integer_monomial, only for the candidates that reach an LP, and
+    x's rows once per x.
     """
     n, r = N.rows, N.cols
     basis = S.image_presentation()
@@ -263,6 +265,9 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     coeff_range = range(-3, 4) if s <= 2 else range(-1, 2)
     d = lcm(2, *(v.denominator for row in basis.entries for v in row))
     basis_rows = [[int(v * d) for v in row] for row in basis.entries]
+    exponents = [[int(v) for v in row] for row in V.entries]
+    scales = [Fraction(1, d) ** sum(row) for row in exponents]
+    positive = SignVector([1] * r)
     lps = 0
     for x in product(x_values, repeat=n):
         X = [int(v * d) for v in x]
@@ -276,52 +281,44 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
             if lps == STEADY_STATE_LP_BUDGET:
                 return None, True
             lps += 1
-            y = tuple(Fraction(v, d) for v in Y)
             if x_rows is None:
-                x_rows = _steady_state_rows(N, V, x)
-            rows = x_rows + _steady_state_rows(N, V, y)
-            system = StrictSystem(
-                nvars=r,
-                equalities=RationalMatrix(rows, 2 * n, r),
-                comp_signs=SignVector([1] * r),
-            )
-            res = solve_strict(system)
-            if res.feasible:
-                kappa = res.witness
+                x_rows = _steady_state_rows(N, exponents, scales, X)
+            rows = x_rows + _steady_state_rows(N, exponents, scales, Y)
+            kappa = rational_point_with_sign(RationalMatrix(rows, 2 * n, r), positive)
+            if kappa is not None:
                 if any(sum(map(mul, row, kappa)) != 0 for row in rows):
                     raise VerificationFailed("kappa does not make the pair steady states")
                 return {
                     "kappa": [str(k) for k in kappa],
                     "x": [str(v) for v in x],
-                    "y": [str(v) for v in y],
+                    "y": [str(Fraction(v, d)) for v in Y],
                     "residual": "0 (exact rational steady-state equations)",
                 }, False
     return None, False
 
 
-def _steady_state_rows(N: RationalMatrix, V: RationalMatrix, point):
-    """The rows of N diag(point^V): N diag(kappa) point^V = 0 is these rows times kappa."""
-    mono = [_monomial(point, V.entries[j]) for j in range(N.cols)]
-    return [[N.entries[i][j] * mono[j] for j in range(N.cols)] for i in range(N.rows)]
-
-
-def _monomial(x, exps):
-    out = Fraction(1)
-    for xi, e in zip(x, exps):
-        out *= xi ** int(e)
-    return out
+def _steady_state_rows(N: RationalMatrix, exponents, scales, P):
+    """The rows of N diag(x^V) at x = P / d, where scales[j] = d^-deg of row j of
+    V: N diag(kappa) x^V = 0 is these rows times kappa."""
+    mono = [Fraction(*integer_monomial(P, e)) * w for e, w in zip(exponents, scales)]
+    return [[a * m for a, m in zip(row, mono)] for row in N.entries]
 
 
 # -- special steady states ----------------------------------------------------
 
 
-def special_unique(M: RationalMatrix, S: Subspace) -> bool:
-    """At most one special steady state per compatibility class, for all kappa."""
+def _shared_signs(M: RationalMatrix, S: Subspace):
+    """sigma(ker M) and sigma(S) in common, nonzero; none when S = 0."""
     if M.cols != S.ambient_dim:
         raise ShapeMismatch("M must have one column per species")
     if S.dim() == 0:
-        return True
-    return not common_sign_vectors(M, S.image_presentation())
+        return []
+    return common_sign_vectors(M, S.image_presentation())
+
+
+def special_unique(M: RationalMatrix, S: Subspace) -> bool:
+    """At most one special steady state per compatibility class, for all kappa."""
+    return not _shared_signs(M, S)
 
 
 @dataclass(frozen=True)
@@ -354,31 +351,24 @@ def multistationarity_witness(
     M: RationalMatrix, S: Subspace, assume_coset: bool = False
 ) -> Optional[SpecialWitness]:
     """Construct x*, y* in one coset with (x*)^M = (y*)^M, or None if impossible."""
-    if M.cols != S.ambient_dim:
-        raise ShapeMismatch("M must have one column per species")
-    if S.dim() == 0:
-        return None
-    n = M.cols
-    shared = common_sign_vectors(M, S.image_presentation())
+    shared = _shared_signs(M, S)
     if not shared:
         return None
     rho = shared[0]
     v = rational_point_with_sign(M, rho)
-    z = rational_point_with_sign(S.kernel_presentation(), rho)
-    if v is None or z is None:
-        raise VerificationFailed("no rational point of the shared sign in ker(M) or in S")
-    if not all(sum(M.entries[i][j] * v[j] for j in range(n)) == 0 for i in range(M.rows)):
+    if v is None:
+        raise VerificationFailed("no rational point of the shared sign in ker(M)")
+    z = rational_point_in_subset(S, rho)
+    if any(sum(map(mul, row, v)) != 0 for row in M.entries):
         raise VerificationFailed("v is not in ker(M)")
     from mpmath import mp
 
     with mp.workprec(int(NUMERIC_DIGITS * 3.33) + 16):
         x_num, y_num = exponential_pair(z, v)
         # numeric spot check of x^M = y^M on top of the exact Mv = 0 certificate
-        for i in range(M.rows):
-            mrow = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in M.entries[i]]
-            lx = sum(mrow[j] * mp.log(x_num[j]) for j in range(n))
-            ly = sum(mrow[j] * mp.log(y_num[j]) for j in range(n))
-            if not abs(lx - ly) < mp.mpf(10) ** (-NUMERIC_DIGITS + 5):
+        tolerance = mp.mpf(10) ** (-NUMERIC_DIGITS + 5)
+        for a, b in zip(_monomials(M, x_num, mp), _monomials(M, y_num, mp)):
+            if not abs(a - b) < tolerance * a:
                 raise VerificationFailed("x^M and y^M differ numerically")
         return SpecialWitness(
             rho=rho,

@@ -417,7 +417,7 @@ def exponential_pair(z, v):
     return x, y
 
 
-def _rational_point_in_subset(S, tau: SignVector):
+def rational_point_in_subset(S, tau: SignVector):
     """Exact rational z in S with sigma(z) = tau."""
     if isinstance(S, (FullSpace, OrthantUnion)):
         return tuple(Fraction(s) for s in tau)
@@ -445,7 +445,7 @@ def construct_counterexample(
     """
     if sigma(y_hat) != tau:
         raise VerificationFailed("pair witness does not carry the sign tau")
-    z = _rational_point_in_subset(S, tau)
+    z = rational_point_in_subset(S, tau)
     if mu.is_zero():
         w = tuple(Fraction(0) for _ in range(A.cols))
     else:
@@ -469,7 +469,7 @@ def construct_counterexample(
                     if kj <= 0:
                         raise VerificationFailed("constructed kappa is not positive")
                     kappa.append(_mpf_to_fraction(kj))
-            ok, bound = _verify_counterexample(A, B, kappa, x_num, y_num, attempt_prec)
+            ok, bound = verify_counterexample(A, B, kappa, x_num, y_num, attempt_prec)
             if ok:
                 digits = int(attempt_prec * 0.3010299957) + 2
                 return Counterexample(
@@ -483,19 +483,21 @@ def construct_counterexample(
     raise VerificationFailed("counterexample residual exceeds tolerance at maximum precision")
 
 
-def _verify_counterexample(A, B, kappa, x_num, y_num, prec):
-    """(relative residual <= RESIDUAL_TOLERANCE, the residual); with no rows of A
-    the residual is 0 and the scale 1."""
+def verify_counterexample(A, B, kappa, x_num, y_num, prec):
+    """(relative residual <= RESIDUAL_TOLERANCE, the residual) of f_kappa(x) = f_kappa(y),
+    bounded in interval arithmetic at prec bits; with no rows of A the residual
+    is 0 and the scale 1. x and y may be exact rationals or mpf."""
     from mpmath import mp
 
-    if any(k <= 0 for k in kappa) or any(v <= 0 for v in x_num) or any(v <= 0 for v in y_num):
-        return False, mp.inf
-    fx, ex = evaluate_map(A, B, kappa, x_num, prec)
-    fy, ey = evaluate_map(A, B, kappa, y_num, prec)
-    residual = max((abs(a - b) for a, b in zip(fx, fy)), default=mp.mpf(0)) + ex + ey
-    scale = max([*(abs(v) for v in fx), mp.mpf(1)])
-    rel = residual / scale
-    return rel <= RESIDUAL_TOLERANCE, rel
+    with mp.workprec(prec):
+        if any(k <= 0 for k in kappa) or any(v <= 0 for v in x_num) or any(v <= 0 for v in y_num):
+            return False, mp.inf
+        fx, ex = evaluate_map(A, B, kappa, x_num, prec)
+        fy, ey = evaluate_map(A, B, kappa, y_num, prec)
+        residual = max((abs(a - b) for a, b in zip(fx, fy)), default=mp.mpf(0)) + ex + ey
+        scale = max([*(abs(v) for v in fx), mp.mpf(1)])
+        rel = residual / scale
+        return rel <= RESIDUAL_TOLERANCE, rel
 
 
 # -- the decision procedure ---------------------------------------------------

@@ -16,9 +16,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
+from .engine import (DEFAULT_PRECISION_BITS, FullSpace, OrthantUnion, Subspace, SymbolicDetPoly,
+                     verify_counterexample)
 from .errors import ShapeMismatch, TooLarge, VerificationFailed
-from .feasibility import StrictSystem, solve_strict
-from .ratmat import RationalMatrix
+from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
+from .ratmat import RationalMatrix, integer_monomial
 from .signs import SignVector, canonical_sort, sign_of
 
 COFACTOR_LIMIT = 5
@@ -123,8 +125,6 @@ def naive_symbolic_gamma_det(Aprime: RationalMatrix, B: RationalMatrix, Z):
     result is collapsed to a SymbolicDetPoly, with a check that no monomial
     carries an exponent above one (everything multilinear survives).
     """
-    from .engine import SymbolicDetPoly
-
     s, r = Aprime.rows, Aprime.cols
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A'")
@@ -208,7 +208,7 @@ def sampled_injectivity_search(
     S=None,
     samples: int = 1000,
     seed: int = 0,
-    prec: int = 256,
+    prec: int = DEFAULT_PRECISION_BITS,
 ) -> SearchReport:
     """Random search for (kappa, x, y) with f_kappa(x) = f_kappa(y), x != y, x - y in S.
 
@@ -226,15 +226,14 @@ def sampled_injectivity_search(
     is raised.
 
     When B is not integral, a float kernel vector rounded to a rational kappa
-    counts only if the relative residual, bounded in interval arithmetic at
-    prec bits (256 by default), sits below 1e-30. Deterministic per seed.
+    counts only if engine.verify_counterexample accepts it: the relative
+    residual, bounded in interval arithmetic at prec bits, is at most
+    engine.RESIDUAL_TOLERANCE. Deterministic per seed.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     if B.rows != A.cols:
         raise ShapeMismatch("B must have one row per column of A")
-    from .engine import FullSpace, OrthantUnion, Subspace, evaluate_map
-
     rng = random.Random(seed)
     m, r = A.rows, A.cols
     n = B.cols
@@ -264,12 +263,12 @@ def sampled_injectivity_search(
         return p * (12 // rng.choice([1, 2, 3, 4]))
 
     if integral_B:
-        # X = q x, so x^b = (p / d) q^-deg for (p, d) = _monomial(X, b), deg = sum(b)
+        # X = q x, so x^b = (p / d) q^-deg for (p, d) = integer_monomial(X, b), deg = sum(b)
         exponents = [[int(v) for v in row] for row in B.entries]
         q_scales = [Fraction(1, q) ** sum(row) for row in exponents]
+        positive = SignVector([1] * r)
     else:
         import numpy
-        from mpmath import mp
 
         Af = numpy.array([[float(v) for v in row] for row in A.entries]).reshape(m, r)
         Bf = numpy.array([[float(v) for v in row] for row in B.entries])
@@ -290,8 +289,8 @@ def sampled_injectivity_search(
         if not any(Z) or min(X) <= 0:
             continue
         if integral_B:
-            mx = [_monomial(X, row) for row in exponents]
-            my = [_monomial(Y, row) for row in exponents]
+            mx = [integer_monomial(X, row) for row in exponents]
+            my = [integer_monomial(Y, row) for row in exponents]
             pattern = tuple(sign_of(px * dy - py * dx) for (px, dx), (py, dy) in zip(mx, my))
             if pattern in infeasible:
                 continue
@@ -301,12 +300,11 @@ def sampled_injectivity_search(
             D = RationalMatrix(
                 [[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r
             )
-            res = solve_strict(StrictSystem(nvars=r, equalities=D, comp_signs=SignVector([1] * r)))
-            if not res.feasible:
+            kq = rational_point_with_sign(D, positive)
+            if kq is None:
                 infeasible.add(pattern)
                 continue
             candidates += 1
-            kq = res.witness
             if _exact_map(A, kq, mono_x) != _exact_map(A, kq, mono_y):
                 raise VerificationFailed("the LP's kappa does not give f_kappa(x) = f_kappa(y)")
             violations.append((tuple(kq), _fractions(X, q), _fractions(Y, q)))
@@ -316,15 +314,8 @@ def sampled_injectivity_search(
             continue
         candidates += 1
         x, y = _fractions(X, q), _fractions(Y, q)
-        with mp.workprec(prec):
-            xs = [mp.mpf(v.numerator) / mp.mpf(v.denominator) for v in x]
-            ys = [mp.mpf(v.numerator) / mp.mpf(v.denominator) for v in y]
-            vx, ex = evaluate_map(A, B, kq, xs, prec)
-            vy, ey = evaluate_map(A, B, kq, ys, prec)
-            resid = max((abs(a - b) for a, b in zip(vx, vy)), default=mp.mpf(0)) + ex + ey
-            s = max([*(abs(v) for v in vx), mp.mpf(1)])
-            if resid / s < mp.mpf("1e-30"):
-                violations.append((tuple(kq), x, y))
+        if verify_counterexample(A, B, kq, x, y, prec)[0]:
+            violations.append((tuple(kq), x, y))
     return SearchReport(samples=samples, seed=seed, candidates=candidates, violations=tuple(violations))
 
 
@@ -337,17 +328,6 @@ def _floats(V, q):
 
     # int / int rounds correctly, so these equal the floats of the Fractions
     return numpy.array([v / q for v in V])
-
-
-def _monomial(V, exps):
-    """(p, d) with prod_i V_i^e_i = p / d, for positive integers V_i."""
-    p = d = 1
-    for v, e in zip(V, exps):
-        if e > 0:
-            p *= v**e
-        elif e < 0:
-            d *= v**-e
-    return p, d
 
 
 def _exact_map(A, kappa, mono):

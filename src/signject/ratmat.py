@@ -7,7 +7,9 @@ Gauss-Jordan elimination: it gives the reduced form, the pivots and their
 determinant, and is behind ``rref`` (so ``rank``, ``kernel_basis``,
 ``column_basis`` and ``gale_dual``) and the paired-minor scans in ``engine``.
 ``integer_det``, the same elimination run forward only, is behind ``det`` and
-the cocircuit normals in ``matroid``.
+the cocircuit normals in ``matroid``. ``integer_monomial`` is the one exact
+x^B: the steady-state grid in ``crn`` and the integral-B sampling oracle
+evaluate their monomials with it.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -302,6 +304,17 @@ def integer_rows(M: RationalMatrix):
         scales.append(s)
         rows.append([e.numerator * (s // e.denominator) for e in row])
     return rows, scales
+
+
+def integer_monomial(V, exps):
+    """(p, d) with prod_i V_i^e_i = p / d, for positive integers V_i and integer e_i."""
+    p = d = 1
+    for v, e in zip(V, exps):
+        if e > 0:
+            p *= v**e
+        elif e < 0:
+            d *= v**-e
+    return p, d
 
 
 def det(M: RationalMatrix) -> Fraction:

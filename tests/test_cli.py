@@ -242,8 +242,11 @@ NO_SUCH_FILE = "[Errno 2] No such file or directory"
      "bad matrix file latin1.json: 'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
     (["--output", "missing/out.json", "chirotope", "--A", "I.json"],
      f"cannot write missing/out.json: {NO_SUCH_FILE}: 'missing/out.json'"),
+    *[(["descartes", "cone", "--A", "I.json", "--y", y], f"bad rational vector {y!r}: {reason}")
+      for y, reason in (("1,x", "not an exact rational: 'x'"), ("", "not an exact rational: ''"),
+                        ("1/0", "zero denominator: '1/0'"))],
 ], ids=["matrix", "sign-file", "network", "kinetic-orders", "malformed-matrix", "malformed-kinetic-orders",
-        "not-utf8", "unwritable-output"])
+        "not-utf8", "unwritable-output", "vector-letter", "vector-empty", "vector-zero-denominator"])
 def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
     """Each unreadable or malformed input: exit 2, no JSON, and one stderr line."""
     monkeypatch.chdir(tmp_path)

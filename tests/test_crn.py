@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from signject.crn import (
     stoichiometry,
 )
 from signject.engine import Subspace, check_injectivity
-from signject.errors import ParseError, ShapeMismatch, UnknownSpecies
+from signject.errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
 from signject.matroid import image_sign_vectors
 from signject.feasibility import StrictSystem, solve_strict
 from signject.ratmat import RationalMatrix, gale_dual, rank
@@ -167,15 +168,40 @@ def test_multistationarity_witness_none():
     assert multistationarity_witness(Mm, Subspace(Z=M.identity(2))) is None
 
 
+def test_special_spot_check_catches_a_bad_pair(tmp_path, capsys, monkeypatch):
+    """One coordinate of y off by a relative 1e-40, which the exact Mv = 0 and
+    z in S certificates do not see: the numeric x^M = y^M check raises, and
+    `crn special` exits 5 with one line and no JSON."""
+    from mpmath import mp
+
+    from signject.cli import main
+
+    pair = crn.exponential_pair
+
+    def nudged(z, v):
+        x, y = pair(z, v)
+        return x, [y[0] * (1 + mp.mpf(10) ** -40), *y[1:]]
+
+    monkeypatch.setattr(crn, "exponential_pair", nudged)
+    Mm = M([[1, -1]])
+    with pytest.raises(VerificationFailed):
+        multistationarity_witness(Mm, Subspace(C=M([[1], [1]])))
+    net, m = tmp_path / "net.txt", tmp_path / "M.json"
+    net.write_text("k1: 0 -> A + B\nk2: A + B -> 0\n")
+    m.write_text(json.dumps(Mm.to_json_dict()))
+    assert main(["crn", "special", str(net), "--M", str(m)]) == 5
+    assert capsys.readouterr() == ("", "internal error: x^M and y^M differ numerically\n")
+
+
 def test_steady_state_search_budget(monkeypatch):
     import signject.crn as crn
 
     net = parse_network(
         "k1: A -> 2 A\nk2: 2 A -> A\nk3: A + B -> C\nk4: C -> A + B\nk5: C -> B\nk6: B -> C\n"
     )
-    lps = []  # in crn, only the steady-state grid calls solve_strict
-    solve = crn.solve_strict
-    monkeypatch.setattr(crn, "solve_strict", lambda system: lps.append(1) or solve(system))
+    lps = []  # in crn preclude, only the steady-state grid calls rational_point_with_sign
+    solve = crn.rational_point_with_sign
+    monkeypatch.setattr(crn, "rational_point_with_sign", lambda E, target: lps.append(1) or solve(E, target))
     found = preclude_multistationarity(net)
     assert found.steady_state_pair is not None
     needed = len(lps)  # the pair turns up at the last of these LPs
@@ -222,7 +248,7 @@ def reference_steady_state_pair(N, V, S, budget):
             lps += 1
             rows = []
             for point in (x, y):
-                mono = [crn._monomial(point, V.entries[j]) for j in range(r)]
+                mono = [_power(point, V.entries[j]) for j in range(r)]
                 for i in range(n):
                     rows.append([N.entries[i][j] * mono[j] for j in range(r)])
             res = solve_strict(StrictSystem(nvars=r, equalities=M(rows, 2 * n, r),
@@ -235,6 +261,13 @@ def reference_steady_state_pair(N, V, S, budget):
                     "residual": "0 (exact rational steady-state equations)",
                 }, False
     return None, False
+
+
+def _power(x, exps):
+    out = Fraction(1)
+    for xi, e in zip(x, exps):
+        out *= xi ** int(e)
+    return out
 
 
 def _random_network(rnd, species):

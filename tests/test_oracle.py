@@ -11,7 +11,7 @@ import numpy
 import pytest
 from mpmath import mp
 
-from signject import oracle
+from signject import engine, feasibility, oracle
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
 from signject.errors import InternalError, TooLarge
 from signject.feasibility import FEASIBLE, FeasibilityResult, StrictSystem, solve_strict
@@ -259,9 +259,22 @@ def test_wrong_lp_witness_raises(monkeypatch):
             return res
         return FeasibilityResult(FEASIBLE, witness=(2 * res.witness[0],) + tuple(res.witness[1:]))
 
-    monkeypatch.setattr(oracle, "solve_strict", doubled_first)
+    monkeypatch.setattr(feasibility, "solve_strict", doubled_first)
     with pytest.raises(InternalError):
         sampled_injectivity_search(RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
+
+
+def test_non_integral_search_uses_the_engine_tolerance(monkeypatch):
+    """A rounded float kappa for x^(1/2) against x (the golden
+    fractional/full/rounded) is a violation exactly when the engine's
+    RESIDUAL_TOLERANCE admits its residual: at 1 every candidate is, at 0 none."""
+    A, B = M([[1, -1]]), M([[Fraction(1, 2)], [1]])
+    monkeypatch.setattr(engine, "RESIDUAL_TOLERANCE", 1)
+    loose = sampled_injectivity_search(A, B, samples=200, seed=5)
+    assert loose.candidates > 0 and len(loose.violations) == loose.candidates
+    monkeypatch.setattr(engine, "RESIDUAL_TOLERANCE", 0)
+    strict = sampled_injectivity_search(A, B, samples=200, seed=5)
+    assert strict.candidates == loose.candidates and not strict.violations
 
 
 # Run in a fresh interpreter: prints which of numpy and mpmath are loaded after
