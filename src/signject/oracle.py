@@ -6,7 +6,8 @@ Leibniz expansion, random sampling). Outside the tests, only the CLI's
 ``oracle`` subcommands import this module, when they run; the rest of the
 package never depends on it. Importing it loads neither numpy nor mpmath:
 only the non-integral-B branch of sampled_injectivity_search imports them,
-for its float kernel vectors and interval residuals.
+for its float kernel vectors and, through engine.verify_counterexample, its
+interval residuals.
 """
 from __future__ import annotations
 
