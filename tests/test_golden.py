@@ -21,6 +21,13 @@ float kernel vector and the interval residual check).
 workload and on 30 seeded configurations with fractional entries, some of
 them rank-deficient (exit code 2, no JSON: the hash of empty bytes).
 
+``sign_search.json`` pins the same way the seven ``injectivity`` calls of the
+benchmark's ``sign_search`` workload: five ``--S-image`` instances that are
+not injective (n = 3, 4 and r = 5, 6, each with a counterexample) and two
+Birch instances (B = A^T) over every nonzero orthant, whose certificates
+record the whole (mu, tau) sweep. Their pair LPs are larger than the route
+pool's.
+
 The corpus includes ``minors`` and ``gamma-det`` on the dual futile cycle
 (9 species, 12 reactions), with the inputs ``crn preclude`` builds from it;
 ``test_dual_minors_determinant_count`` pins how many integer determinants
@@ -33,6 +40,7 @@ After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -363,6 +371,41 @@ def matroid_configurations():
     return configs
 
 
+# (seed, n, r) of the benchmark's sign_search instances
+NONINJECTIVE = ((2, 3, 5), (6, 3, 5), (1, 3, 6), (3, 4, 5), (1, 4, 6))
+BIRCH = ((2, 3, 4), (3, 2, 4))
+
+
+def sign_search_cases():
+    """(name, argv, files) of the sign_search workload's injectivity calls,
+    drawn as the benchmark draws them."""
+    cases = []
+    for seed, n, r in NONINJECTIVE:
+        A = _draw("noninjective-A", seed, n, r)
+        rnd = random.Random(f"noninjective-B-{seed}")
+        B = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        cases.append((f"noninjective/{n}x{r}-{seed}",
+                      ["injectivity", "--A", "{A}", "--B", "{B}", "--S-image", "{A}"],
+                      {"A": _m(A), "B": _m(B)}))
+    for seed, n, r in BIRCH:
+        A = _draw("birch", seed, n, r)
+        orthants = ("".join(s) for s in itertools.product("-0+", repeat=n))
+        cases.append((f"birch/{seed}",
+                      ["injectivity", "--A", "{A}", "--B", "{B}", "--S-signs", "{T}"],
+                      {"A": _m(A), "B": _m([list(col) for col in zip(*A)]),
+                       "T": "".join(f"{t}\n" for t in orthants if set(t) != {"0"})}))
+    return cases
+
+
+def sign_search_outputs(workdir: Path):
+    """{case: [exit code, sha256 of the JSON bytes]}."""
+    out = {}
+    for name, argv, files in sign_search_cases():
+        code, data = run_case(argv, files, workdir)
+        out[name] = [code, hashlib.sha256(data).hexdigest()]
+    return out
+
+
 def matroid_outputs(workdir: Path):
     """{command/config: [exit code, sha256 of the JSON bytes]}."""
     out = {}
@@ -440,6 +483,12 @@ def test_matroid_golden(tmp_path, capsys):
     assert not differing, f"{len(differing)} matroid outputs differ, first {differing[:5]}"
 
 
+def test_sign_search_golden(tmp_path, capsys):
+    got = sign_search_outputs(tmp_path)
+    capsys.readouterr()
+    assert got == json.loads((GOLDEN / "sign_search.json").read_text())
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -456,4 +505,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = matroid_outputs(Path(tmp))
     (GOLDEN / "matroid.json").write_text(json.dumps(outputs, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = sign_search_outputs(Path(tmp))
+    (GOLDEN / "sign_search.json").write_text(json.dumps(outputs, indent=1) + "\n")
     (GOLDEN / "oracle.json").write_text(json.dumps(oracle_outputs(), indent=1) + "\n")
