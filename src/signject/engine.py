@@ -21,12 +21,7 @@ from typing import Optional
 
 from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
                      ShapeMismatch, VerificationFailed)
-from .feasibility import (
-    StrictSystem,
-    feasible_sign_pair,
-    rational_point_with_sign,
-    solve_strict,
-)
+from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
 from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
 from .ratmat import (
     RationalMatrix,
@@ -83,7 +78,8 @@ class Subspace:
     @cached_property
     def _kernel(self) -> RationalMatrix:
         if self.Z is not None:
-            return self.Z
+            # a Z with dependent rows gives way to the nonzero rows of its rref
+            return self.Z if self.Z.rows == self.ambient_dim - self.dim() else _pivot_rows(self.Z)
         n = self.ambient_dim
         C = self._image
         if C.cols == n:
@@ -517,9 +513,26 @@ def _zero_mu(r: int) -> SignVector:
     return SignVector.zero(r)
 
 
+def _pair_y(B: RationalMatrix, mu: SignVector, tau: SignVector):
+    """The y block of the (mu, tau) sign pair: sigma(By) = mu, sigma(y) = tau.
+
+    The joint system of ``feasible_sign_pair`` adds an x block, Ax = 0 and
+    sigma(x) = mu, that shares no variable with y. For mu in sigma(ker A), as
+    every caller's is, that block is feasible, so the pair is feasible iff
+    this system is. Under Bland's rule the joint tableau is block diagonal: a
+    pivot in one block changes no entry, ratio or reduced-cost sign of the
+    other, and each block keeps its columns and rows in the same relative
+    order. So this system takes the y block's pivots and returns the same
+    witness Fractions as the y half of the joint witness.
+    """
+    return solve_strict(StrictSystem(nvars=B.cols, comp_signs=tau, linear_sign_rows=B, linear_signs=mu))
+
+
 def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     """The exhaustive feasibility search over (mu, tau) pairs.
 
+    Each pair with mu in sigma(ker A) is decided by its y block alone
+    (``_pair_y``), which gives the witness of the joint LP's y half.
     Raises SearchBudgetExceeded instead of solving more than
     SIGN_SEARCH_LP_BUDGET pair LPs.
     """
@@ -543,10 +556,10 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
         for tau in T:
             if tested == SIGN_SEARCH_LP_BUDGET:
                 raise SearchBudgetExceeded(f"the (mu, tau) sign search stopped after {tested} LPs")
-            result = feasible_sign_pair(A, B, mu, tau)
+            result = _pair_y(B, mu, tau)
             tested += 1
             if result.feasible:
-                cx = construct_counterexample(A, B, S, mu, tau, result.witness[r:], prec)
+                cx = construct_counterexample(A, B, S, mu, tau, result.witness, prec)
                 return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
     certificate = {
         "pairs_tested": tested,
@@ -625,7 +638,11 @@ def _check_full_space(A, B, warnings, prec):
 
 
 def _full_space_counterexample(A, B, shared, S, prec):
-    """A counterexample from the smallest rho in sigma(ker A) ∩ sigma(im B)."""
+    """A counterexample from the smallest rho in sigma(ker A) ∩ sigma(im B).
+
+    rho is in sigma(ker A), so the pair (rho, tau) is decided by its y block
+    alone (``_pair_y``), with the witness of the joint LP's y half.
+    """
     if not shared:
         raise InternalError("minors route failed but sign sets do not intersect")
     rho = shared[0]
@@ -636,10 +653,10 @@ def _full_space_counterexample(A, B, shared, S, prec):
     if not res.feasible:
         raise VerificationFailed("no y with sigma(By) = rho, though rho is in sigma(im B)")
     tau = sigma(res.witness)
-    pair = feasible_sign_pair(A, B, rho, tau)
+    pair = _pair_y(B, rho, tau)
     if not pair.feasible:
         raise VerificationFailed("the sign pair (rho, sigma(y)) is infeasible")
-    return construct_counterexample(A, B, S, rho, tau, pair.witness[A.cols:], prec)
+    return construct_counterexample(A, B, S, rho, tau, pair.witness, prec)
 
 
 def _check_subspace_minors(A, Aprime, B, S, warnings, prec):

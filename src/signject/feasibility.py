@@ -230,7 +230,14 @@ def _check_certificate(nvars, rows, certificate):
 def feasible_sign_pair(
     A: RationalMatrix, B: RationalMatrix, mu: SignVector, tau: SignVector
 ) -> FeasibilityResult:
-    """Decide Ax = 0, sigma(x) = sigma(By) = mu, sigma(y) = tau over z = (x, y)."""
+    """Decide Ax = 0, sigma(x) = sigma(By) = mu, sigma(y) = tau over z = (x, y).
+
+    The joint system, kept as a public query and as the reference the tests
+    hold the engine's pair LPs to; the engine does not call it. Its x and y
+    blocks share no variable, and for mu in sigma(ker A) the x block is
+    feasible, so the engine solves the y block alone and gets the same
+    witness Fractions as witness[A.cols:] here.
+    """
     m, r = A.rows, A.cols
     rB, n = B.rows, B.cols
     if len(mu) != r or rB != r:

@@ -52,6 +52,22 @@ def test_injectivity_counterexample(tmp_path, capsys):
     assert cx is not None and float(cx["residual_bound"]) < 1e-30
 
 
+def test_injectivity_kernel_with_dependent_rows(tmp_path, capsys):
+    # Z = (1, 1, 1) and Z with a second, dependent row present the same S
+    a = write(tmp_path, "A.json", M([[1, 0, -1], [0, 1, -1]]))
+    b = write(tmp_path, "B.json", M.identity(3))
+    outputs = []
+    for name, Z in (("Z1.json", [[1, 1, 1]]), ("Z2.json", [[1, 1, 1], [2, 2, 2]])):
+        out = tmp_path / f"out-{name}"
+        argv = ["--output", str(out), "injectivity", "--A", a, "--B", b,
+                "--S-kernel", write(tmp_path, name, M(Z))]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["injective"] is True
+
+
 def test_injectivity_sign_file(tmp_path, capsys):
     a = write(tmp_path, "A.json", M.identity(2))
     b = write(tmp_path, "B.json", M([[1, 1], [1, 1]]))
@@ -349,9 +365,10 @@ def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, subset, expecte
         flag = ["--S-image", write(tmp_path, "C.json", subset)]
     out = tmp_path / "out.json"
     argv = ["--output", str(out), "injectivity", "--A", a, "--B", b, *flag]
-    solve = engine.feasible_sign_pair
+    # the sign search calls the engine's solve_strict binding only for its pair LPs
+    solve = engine.solve_strict
     lps = []
-    monkeypatch.setattr(engine, "feasible_sign_pair", lambda *args: lps.append(args) or solve(*args))
+    monkeypatch.setattr(engine, "solve_strict", lambda *args: lps.append(args) or solve(*args))
     assert main(argv) == expected_code
     expected = out.read_bytes()
     out.unlink()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from signject import engine
 from signject.engine import (
     FullSpace,
     OrthantUnion,
@@ -18,6 +19,7 @@ from signject.engine import (
     gamma_det_poly,
 )
 from signject.errors import NonPositiveInput, ShapeMismatch
+from signject.feasibility import feasible_sign_pair
 from signject.matroid import matroid_vectors
 from signject.oracle import cofactor_det, naive_symbolic_gamma_det
 from signject.ratmat import RationalMatrix, rank
@@ -226,12 +228,31 @@ def test_subspace_presentations_computed_once(monkeypatch):
 def test_counterexample_construction_direct():
     A = M([[1, -1]])
     B = M.identity(2)
-    from signject.feasibility import feasible_sign_pair
-
     res = feasible_sign_pair(A, B, S("++"), S("++"))
     cx = construct_counterexample(A, B, FullSpace(), S("++"), S("++"), res.witness[2:])
     assert all(k > 0 for k in cx.kappa)
     assert mp.mpf(cx.residual_bound) < mp.mpf("1e-30")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pair_y_block_matches_joint_lp(rnd):
+    # for mu in sigma(ker A) the y block alone gives the joint LP's status and
+    # the y half of its witness, Fraction for Fraction
+    m = rnd.randint(1, 3)
+    r, n = rnd.randint(m, 5), rnd.randint(1, 4)
+
+    def rational():
+        return Fraction(rnd.randint(-4, 4), rnd.randint(1, 5))
+
+    A = M([[rational() for _ in range(r)] for _ in range(m)])
+    B = M([[rational() for _ in range(n)] for _ in range(r)])
+    mu = rnd.choice(matroid_vectors(A))
+    tau = SignVector([rnd.randint(-1, 1) for _ in range(n)])
+    joint = feasible_sign_pair(A, B, mu, tau)
+    alone = engine._pair_y(B, mu, tau)
+    assert alone.status == joint.status
+    assert alone.witness == (joint.witness[r:] if joint.feasible else None)
 
 
 @settings(max_examples=30, deadline=None)
