@@ -10,6 +10,7 @@ exists.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,16 +21,19 @@ from typing import Optional
 from .engine import (DEFAULT_PRECISION_BITS, Subspace, Verdict, _monomials, check_injectivity,
                      exponential_pair, rational_point_in_subset)
 from .errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
-from .feasibility import rational_point_with_sign
+from .feasibility import StrictSystem, check_certificate, rational_point_with_sign, solve_strict, unit_row
 from .matroid import common_sign_vectors
 from .ratmat import RationalMatrix, integer_monomial, parse_rational
 from .signs import SignVector
 
 NUMERIC_DIGITS = 50
-# LPs the steady-state grid search may solve before it gives up. The full grid
-# of every network in the test and benchmark corpora but the dual futile cycle
-# is at most 1296 LPs, so none of them reaches it.
+# Candidates the steady-state grid search may decide, by LP or by a reused
+# certificate, before it gives up. The full grid of every network in the test
+# and benchmark corpora but the dual futile cycle is at most 1296 candidates,
+# so none of them reaches it.
 STEADY_STATE_LP_BUDGET = 2000
+# certificates of the most recent infeasible grid LPs kept to screen later candidates
+GRID_NOGOODS = 64
 
 
 @dataclass(frozen=True)
@@ -247,12 +251,16 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     x ranges over a small positive grid, y = x + z over integer combinations of
     a basis of im(N). Both steady-state conditions are linear in kappa, so each
     candidate reduces to one exact feasibility question. Returns (pair or None,
-    whether the search stopped at STEADY_STATE_LP_BUDGET LPs).
+    whether the search stopped at STEADY_STATE_LP_BUDGET candidates).
 
     y > 0 is screened on integers over the common denominator d of the grid
     and the basis. The monomial rows are built from those integers, by
-    ratmat.integer_monomial, only for the candidates that reach an LP, and
-    x's rows once per x.
+    ratmat.integer_monomial, only for the candidates with y > 0, and x's rows
+    once per x. Each such candidate is then screened against the checked
+    Farkas certificates of the last GRID_NOGOODS infeasible LPs
+    (``_screened``). A feasible candidate is never screened out, and one that
+    is still counts toward STEADY_STATE_LP_BUDGET, so the search stops where
+    it would without the screen.
     """
     n, r = N.rows, N.cols
     basis = S.image_presentation()
@@ -268,40 +276,93 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     exponents = [[int(v) for v in row] for row in V.entries]
     scales = [Fraction(1, d) ** sum(row) for row in exponents]
     positive = SignVector([1] * r)
-    lps = 0
+    nogoods = deque(maxlen=GRID_NOGOODS)
+    tested = 0
     for x in product(x_values, repeat=n):
         X = [int(v * d) for v in x]
-        x_rows = None
+        x_point = None
         for coeffs in product(coeff_range, repeat=s):
             if not any(coeffs):
                 continue
             Y = [xi + sum(map(mul, coeffs, row)) for xi, row in zip(X, basis_rows)]
             if min(Y) <= 0:
                 continue
-            if lps == STEADY_STATE_LP_BUDGET:
+            if tested == STEADY_STATE_LP_BUDGET:
                 return None, True
-            lps += 1
-            if x_rows is None:
-                x_rows = _steady_state_rows(N, exponents, scales, X)
-            rows = x_rows + _steady_state_rows(N, exponents, scales, Y)
-            kappa = rational_point_with_sign(RationalMatrix(rows, 2 * n, r), positive)
-            if kappa is not None:
-                if any(sum(map(mul, row, kappa)) != 0 for row in rows):
-                    raise VerificationFailed("kappa does not make the pair steady states")
-                return {
-                    "kappa": [str(k) for k in kappa],
-                    "x": [str(v) for v in x],
-                    "y": [str(Fraction(v, d)) for v in Y],
-                    "residual": "0 (exact rational steady-state equations)",
-                }, False
+            tested += 1
+            if x_point is None:
+                x_point = _steady_state_point(N, exponents, scales, X)
+            y_point = _steady_state_point(N, exponents, scales, Y)
+            if _screened(nogoods, x_point, y_point):
+                continue
+            rows = x_point[2] + y_point[2]
+            result = solve_strict(StrictSystem(nvars=r, equalities=RationalMatrix(rows, 2 * n, r),
+                                               comp_signs=positive))
+            if not result.feasible:
+                nogoods.append(_grid_nogood(N, result.certificate))
+                continue
+            kappa = result.witness
+            if any(sum(map(mul, row, kappa)) != 0 for row in rows):
+                raise VerificationFailed("kappa does not make the pair steady states")
+            return {
+                "kappa": [str(k) for k in kappa],
+                "x": [str(v) for v in x],
+                "y": [str(Fraction(v, d)) for v in Y],
+                "residual": "0 (exact rational steady-state equations)",
+            }, False
     return None, False
 
 
-def _steady_state_rows(N: RationalMatrix, exponents, scales, P):
-    """The rows of N diag(x^V) at x = P / d, where scales[j] = d^-deg of row j of
-    V: N diag(kappa) x^V = 0 is these rows times kappa."""
-    mono = [Fraction(*integer_monomial(P, e)) * w for e, w in zip(exponents, scales)]
-    return [[a * m for a, m in zip(row, mono)] for row in N.entries]
+def _steady_state_point(N: RationalMatrix, exponents, scales, P):
+    """(pq, mono, rows) at x = P / d, where scales[j] = d^-deg of row j of V:
+    pq[j] = (p, q) with x^V_j = p / q * scales[j], mono[j] = x^V_j, and rows
+    the rows of N diag(x^V), so that N diag(kappa) x^V = 0 is rows times
+    kappa."""
+    pq = [integer_monomial(P, e) for e in exponents]
+    mono = [Fraction(p, q) * w for (p, q), w in zip(pq, scales)]
+    return pq, mono, [[a * m for a, m in zip(row, mono)] for row in N.entries]
+
+
+def _grid_nogood(N: RationalMatrix, certificate):
+    """(lam, a, b, den) of an infeasible grid LP's checked certificate: lam
+    its multipliers on the 2n steady-state rows, and a = lam_x^T N and
+    b = lam_y^T N as integers over the positive denominator den."""
+    n = N.rows
+    lam = certificate[:2 * n]
+    a = [sum(l * row[j] for l, row in zip(lam[:n], N.entries) if l) for j in range(N.cols)]
+    b = [sum(l * row[j] for l, row in zip(lam[n:], N.entries) if l) for j in range(N.cols)]
+    den = lcm(*(Fraction(v).denominator for v in a + b))
+    return lam, [int(v * den) for v in a], [int(v * den) for v in b], den
+
+
+def _screened(nogoods, x_point, y_point) -> bool:
+    """True iff a grid certificate decides the candidate (x, y): with the
+    monomials m of x and m' of y, every c_j = a_j m_j + b_j m'_j is <= 0 and
+    not all are zero. Then lam on the steady-state rows and -c_j on the unit
+    rows kappa_j >= 1 are a Farkas certificate of the candidate's LP (Gordan's
+    alternative); it is checked on those rows before the candidate is skipped.
+
+    c_j is tested in sign only, on integers: c_j times the positive
+    q_j q'_j den / scales[j] is a_j p_j q'_j + b_j p'_j q_j.
+    """
+    xpq, ypq = x_point[0], y_point[0]
+    for lam, a, b, den in reversed(nogoods):
+        nonzero = False
+        for aj, bj, (p, q), (p2, q2) in zip(a, b, xpq, ypq):
+            c = aj * p * q2 + bj * p2 * q
+            if c > 0:
+                break
+            nonzero = nonzero or c < 0
+        else:
+            if nonzero:
+                # the certificate on the candidate's rows: lam on the steady-state
+                # rows, -c_j on the unit row of each kappa_j with c_j != 0
+                c = [(aj * m + bj * m2) / den for aj, bj, m, m2 in zip(a, b, x_point[1], y_point[1])]
+                rows = [(row, 0) for row in x_point[2] + y_point[2]]
+                rows += [(unit_row(len(c), j), 1) for j, cj in enumerate(c) if cj]
+                check_certificate(len(c), rows, [*lam, *(-cj for cj in c if cj)])
+                return True
+    return False
 
 
 # -- special steady states ----------------------------------------------------

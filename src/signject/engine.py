@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
                      ShapeMismatch, VerificationFailed)
-from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
+from .feasibility import StrictSystem, check_certificate, rational_point_with_sign, solve_strict, unit_row
 from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
 from .ratmat import (
     RationalMatrix,
@@ -42,7 +42,7 @@ DEFAULT_PRECISION_BITS = 256
 # the largest relative residual a counterexample may have; the float 1e-30 is
 # the same binary value as mpmath's default-precision mpf("1e-30")
 RESIDUAL_TOLERANCE = 1e-30
-# LPs the (mu, tau) sign search may solve before it gives up
+# (mu, tau) pairs the sign search may decide, by LP or by nogood, before it gives up
 SIGN_SEARCH_LP_BUDGET = 5000
 
 
@@ -528,13 +528,55 @@ def _pair_y(B: RationalMatrix, mu: SignVector, tau: SignVector):
     return solve_strict(StrictSystem(nvars=B.cols, comp_signs=tau, linear_sign_rows=B, linear_signs=mu))
 
 
+def _nogood(certificate, signs):
+    """The nogood of an infeasible pair LP: its checked Farkas certificate on
+    the rows it is nonzero on, each with its contribution c_i, which is
+    lambda_i s_i on an inequality and lambda_i on an equality.
+
+    signs are the pair's constraint signs, tau on the unit rows y_k and then mu
+    on the rows of B. Returns (pos, neg, terms): the bitmasks of the support
+    rows with c_i > 0 and with c_i < 0, and the (i, c_i).
+    """
+    terms = [(i, l * s if s else l) for i, (l, s) in enumerate(zip(certificate, signs)) if l]
+    return sum(1 << i for i, c in terms if c > 0), sum(1 << i for i, c in terms if c < 0), terms
+
+
+def _refuted(nogoods, B: RationalMatrix, signs) -> bool:
+    """True iff a nogood decides the pair with these constraint signs: every
+    support row's sign is 0 or sign(c_i), and one is nonzero.
+
+    Then lambda'_i = |c_i| on the rows that keep a sign and c_i on those that
+    became equalities combine the same rows to the same zero, with a positive
+    total. That combination is checked again on the pair's own support rows
+    before the pair is skipped.
+    """
+    n = B.cols
+    pos = sum(1 << i for i, s in enumerate(signs) if s > 0)
+    neg = sum(1 << i for i, s in enumerate(signs) if s < 0)
+    for c_pos, c_neg, terms in nogoods:
+        if pos & c_neg or neg & c_pos or not (pos | neg) & (c_pos | c_neg):
+            continue
+        rows, lams = [], []
+        for i, c in terms:
+            s = signs[i]
+            rows.append((unit_row(n, i) if i < n else B.entries[i - n], s))
+            lams.append(c * s if s else c)
+        check_certificate(n, rows, lams)
+        return True
+    return False
+
+
 def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     """The exhaustive feasibility search over (mu, tau) pairs.
 
     Each pair with mu in sigma(ker A) is decided by its y block alone
-    (``_pair_y``), which gives the witness of the joint LP's y half.
-    Raises SearchBudgetExceeded instead of solving more than
-    SIGN_SEARCH_LP_BUDGET pair LPs.
+    (``_pair_y``), which gives the witness of the joint LP's y half, or
+    without an LP by a nogood: the checked Farkas certificate of an earlier
+    infeasible pair that fits it (``_refuted``), re-checked on the pair's own
+    rows. A nogood never fits a feasible pair, so every witness comes from the
+    same LP as without nogoods. Raises SearchBudgetExceeded instead of deciding
+    more than SIGN_SEARCH_LP_BUDGET pairs, whether by LP or by nogood, so the
+    budget trips where it would if every pair took an LP.
     """
     r = A.cols
     T = tuple(sorted(set(T)))
@@ -551,16 +593,22 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
         return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
+    nogoods = []
     tested = 0
     for mu in mus:
         for tau in T:
             if tested == SIGN_SEARCH_LP_BUDGET:
                 raise SearchBudgetExceeded(f"the (mu, tau) sign search stopped after {tested} LPs")
-            result = _pair_y(B, mu, tau)
             tested += 1
+            # the pair LP's constraint signs: tau on the unit rows, then mu on B's rows
+            signs = tau + mu
+            if _refuted(nogoods, B, signs):
+                continue
+            result = _pair_y(B, mu, tau)
             if result.feasible:
                 cx = construct_counterexample(A, B, S, mu, tau, result.witness, prec)
                 return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
+            nogoods.append(_nogood(result.certificate, signs))
     certificate = {
         "pairs_tested": tested,
         "mu_candidates": [str(m) for m in mus],

@@ -55,9 +55,7 @@ class StrictSystem:
         if self.comp_signs is not None:
             if len(self.comp_signs) != n:
                 raise LengthMismatch("comp_signs length disagrees with nvars")
-            zero, one = Fraction(0), Fraction(1)
-            rows += [((zero,) * i + (one,) + (zero,) * (n - 1 - i), s)
-                     for i, s in enumerate(self.comp_signs)]
+            rows += [(unit_row(n, i), s) for i, s in enumerate(self.comp_signs)]
         if self.linear_sign_rows is not None:
             if self.linear_sign_rows.cols != n:
                 raise ShapeMismatch("linear sign rows disagree with nvars")
@@ -65,6 +63,14 @@ class StrictSystem:
                 raise LengthMismatch("one sign per linear sign row required")
             rows += zip(self.linear_sign_rows.entries, self.linear_signs)
         return rows
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def unit_row(n: int, i: int):
+    """The row of z_i among n variables."""
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i)
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def solve_strict(sys: StrictSystem) -> FeasibilityResult:
     certificate = [None] * len(rows)
     for i, l in zip(order, lam):
         certificate[i] = l
-    _check_certificate(sys.nvars, rows, certificate)
+    check_certificate(sys.nvars, rows, certificate)
     return FeasibilityResult(INFEASIBLE, certificate=tuple(certificate))
 
 
@@ -207,7 +213,7 @@ def _check_witness(rows, witness):
             raise InternalError("witness violates a strict constraint; solver bug")
 
 
-def _check_certificate(nvars, rows, certificate):
+def check_certificate(nvars, rows, certificate):
     combo = [Fraction(0)] * nvars
     total = Fraction(0)
     for (coeffs, s), l in zip(rows, certificate):

@@ -365,16 +365,17 @@ def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, subset, expecte
         flag = ["--S-image", write(tmp_path, "C.json", subset)]
     out = tmp_path / "out.json"
     argv = ["--output", str(out), "injectivity", "--A", a, "--B", b, *flag]
-    # the sign search calls the engine's solve_strict binding only for its pair LPs
-    solve = engine.solve_strict
-    lps = []
-    monkeypatch.setattr(engine, "solve_strict", lambda *args: lps.append(args) or solve(*args))
+    # the sign search asks _refuted once for each pair it decides, by LP or by
+    # nogood, and the budget counts those pairs
+    refuted = engine._refuted
+    pairs = []
+    monkeypatch.setattr(engine, "_refuted", lambda *args: pairs.append(args) or refuted(*args))
     assert main(argv) == expected_code
     expected = out.read_bytes()
     out.unlink()
-    needed = len(lps)
+    needed = len(pairs)
     assert needed
-    # a budget of exactly the LPs the search needs changes nothing
+    # a budget of exactly the pairs the search decides changes nothing
     monkeypatch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", needed)
     assert main(argv) == expected_code
     assert out.read_bytes() == expected
@@ -382,9 +383,9 @@ def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, subset, expecte
     monkeypatch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", needed - 1)
     capsys.readouterr()
     code = main(argv)
-    assert len(lps) == 3 * needed - 1
+    assert len(pairs) == 3 * needed - 1
     if flag[0] == "--S-signs":
-        # one LP less stops the search with the size-guard exit code and no JSON
+        # one pair less stops the search with the size-guard exit code and no JSON
         assert code == 4
         _, err = capsys.readouterr()
         assert not out.exists()

@@ -19,7 +19,7 @@ from signject.crn import (
     stoichiometry,
 )
 from signject.engine import Subspace, check_injectivity
-from signject.errors import ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
+from signject.errors import InternalError, ParseError, ShapeMismatch, UnknownSpecies, VerificationFailed
 from signject.matroid import image_sign_vectors
 from signject.feasibility import StrictSystem, solve_strict
 from signject.ratmat import RationalMatrix, gale_dual, rank
@@ -199,12 +199,14 @@ def test_steady_state_search_budget(monkeypatch):
     net = parse_network(
         "k1: A -> 2 A\nk2: 2 A -> A\nk3: A + B -> C\nk4: C -> A + B\nk5: C -> B\nk6: B -> C\n"
     )
-    lps = []  # in crn preclude, only the steady-state grid calls rational_point_with_sign
-    solve = crn.rational_point_with_sign
-    monkeypatch.setattr(crn, "rational_point_with_sign", lambda E, target: lps.append(1) or solve(E, target))
+    # the grid asks _screened once for each candidate it decides, by LP or by
+    # a certificate, and the budget counts those candidates
+    lps = []
+    screened = crn._screened
+    monkeypatch.setattr(crn, "_screened", lambda *args: lps.append(1) or screened(*args))
     found = preclude_multistationarity(net)
     assert found.steady_state_pair is not None
-    needed = len(lps)  # the pair turns up at the last of these LPs
+    needed = len(lps)  # the pair turns up at the last of these candidates
     assert 1 < needed <= crn.STEADY_STATE_LP_BUDGET
     lps.clear()
     monkeypatch.setattr(crn, "STEADY_STATE_LP_BUDGET", needed)
@@ -322,3 +324,63 @@ def test_steady_state_grid_matches_reference_on_random_networks(monkeypatch):
             assert crn._steady_state_pair(N, V, S) == expected, render(net)
             outcomes.add((expected[0] is not None, expected[1]))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+# -- certificate screen of the steady-state grid ------------------------------
+
+
+def _grid(N, V, S, budget, screen):
+    """(result, candidates decided, LPs) of the grid, with its certificate
+    screen or without it."""
+    candidates, lps = [], []
+    screened, solve = crn._screened, crn.solve_strict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crn, "STEADY_STATE_LP_BUDGET", budget)
+        patch.setattr(crn, "_screened", lambda *args: candidates.append(1) or (screen and screened(*args)))
+        patch.setattr(crn, "solve_strict", lambda *args: lps.append(1) or solve(*args))
+        result = crn._steady_state_pair(N, V, S)
+    return result, len(candidates), len(lps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_grid_screen_changes_nothing(seed):
+    """On random networks the grid finds the same pair, or stops at the same
+    budget, with and without its screen, after deciding the same candidates,
+    with no more LPs. The networks are drawn from a seed, since
+    ``_random_network`` redraws a reaction until its two sides differ."""
+    rnd = random.Random(seed)
+    net = _random_network(rnd, rnd.choice(("A", "AB", "ABC")))
+    N, V = stoichiometry(net)
+    S = Subspace(C=N)
+    if S.dim() == 0:
+        return
+    budget = rnd.randint(1, 80)
+    with_, without = _grid(N, V, S, budget, True), _grid(N, V, S, budget, False)
+    assert with_[:2] == without[:2], render(net)
+    assert with_[2] <= without[2] == without[1]
+
+
+def test_mutated_grid_certificate_fails_its_recheck(tmp_path, capsys, monkeypatch):
+    """A certificate with one multiplier doubled still passes the integer
+    screen, which reads a and b, but not the re-check on the candidate's rows;
+    through the CLI that is exit 5."""
+    from signject.cli import main
+
+    text = (NETWORKS / "edelstein.txt").read_text()
+    N, V = stoichiometry(parse_network(text))
+    assert _grid(N, V, Subspace(C=N), crn.STEADY_STATE_LP_BUDGET, True)[2] < 8
+
+    def doubled(N, certificate):
+        lam, a, b, den = nogood(N, certificate)
+        i = next(i for i, l in enumerate(lam) if l)
+        return (*lam[:i], 2 * lam[i], *lam[i + 1:]), a, b, den
+
+    nogood = crn._grid_nogood
+    monkeypatch.setattr(crn, "_grid_nogood", doubled)
+    with pytest.raises(InternalError, match="Farkas certificate does not prove infeasibility"):
+        crn._steady_state_pair(N, V, Subspace(C=N))
+    net = tmp_path / "net.txt"
+    net.write_text(text)
+    assert main(["crn", "preclude", str(net)]) == 5
+    assert capsys.readouterr() == ("", "internal error: Farkas certificate does not prove infeasibility\n")

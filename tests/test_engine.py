@@ -1,5 +1,6 @@
+import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from signject.engine import (
     evaluate_map,
     gamma_det_poly,
 )
-from signject.errors import NonPositiveInput, ShapeMismatch
+from signject.cli import main
+from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceeded, ShapeMismatch
 from signject.feasibility import feasible_sign_pair
 from signject.matroid import matroid_vectors
 from signject.oracle import cofactor_det, naive_symbolic_gamma_det
@@ -284,3 +286,94 @@ def test_monotone_in_subset(rnd):
     C = M([[Fraction(rnd.randint(-2, 2))] for _ in range(n)])
     sub = Subspace(C=C)
     assert check_injectivity(A, B, sub).injective
+
+
+# -- nogoods in the (mu, tau) sweep ---------------------------------------------
+
+
+def _sweep(A, B, T, budget, nogoods):
+    """(outcome, pairs decided, pair LPs, witnesses) of the sweep over T, with
+    its nogoods or without them; the outcome is the verdict, or the budget
+    message."""
+    pairs, lps, witnesses = [], [], []
+    refuted, pair_y, construct = engine._refuted, engine._pair_y, engine.construct_counterexample
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", budget)
+        patch.setattr(engine, "_refuted",
+                      lambda *args: pairs.append(1) or (nogoods and refuted(*args)))
+        patch.setattr(engine, "_pair_y", lambda *args: lps.append(1) or pair_y(*args))
+        patch.setattr(engine, "construct_counterexample",
+                      lambda *args: witnesses.append(args[3:6]) or construct(*args))
+        try:
+            outcome = engine._sign_search(A, B, T, OrthantUnion(T), [], 256).to_json_dict()
+        except SearchBudgetExceeded as exc:
+            outcome = str(exc)
+    return outcome, len(pairs), len(lps), witnesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sweep_nogoods_change_nothing(rnd):
+    """With and without nogoods the sweep gives the same verdict, witness,
+    pairs_tested and budget trip; it decides the same pairs, with no more LPs.
+    B is sometimes rank-deficient, so that mu = 0 meets T."""
+    m = rnd.randint(1, 3)
+    r, n = rnd.randint(m, 5), rnd.randint(1, 4)
+
+    def rational():
+        return Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) if rnd.random() < 0.7 else Fraction(0)
+
+    A = M([[rational() for _ in range(r)] for _ in range(m)])
+    B = M([[rational() for _ in range(n)] for _ in range(r)])
+    orthants = [SignVector(t) for t in product((-1, 0, 1), repeat=n) if any(t)]
+    T = tuple(rnd.sample(orthants, rnd.randint(1, len(orthants))))
+    budget = rnd.choice((engine.SIGN_SEARCH_LP_BUDGET, rnd.randint(1, 40)))
+    with_, without = _sweep(A, B, T, budget, True), _sweep(A, B, T, budget, False)
+    assert with_[:2] == without[:2]
+    assert with_[3] == without[3]
+    assert with_[2] <= without[2] == without[1]
+
+
+def _birch():
+    """A Birch instance (B = A^T) over every nonzero orthant: injective, and
+    decided by a sweep in which nogoods decide some pairs."""
+    A = M([[1, 0, 1], [0, 1, 1]])
+    T = tuple(SignVector(t) for t in product((-1, 0, 1), repeat=2) if any(t))
+    return A, A.transpose(), T
+
+
+def _doubled(nogood):
+    """The nogood with the contribution of its first support row doubled: it
+    fits the same pairs, but its rows no longer combine to zero."""
+    pos, neg, terms = nogood
+    (i, c), *rest = terms
+    return pos, neg, [(i, 2 * c), *rest]
+
+
+def test_mutated_nogood_fails_its_recheck():
+    A, B, T = _birch()
+    mu, tau = S("++-"), S("++")
+    result = engine._pair_y(B, mu, tau)
+    assert not result.feasible
+    nogood = engine._nogood(result.certificate, tau + mu)
+    # another pair that the nogood decides
+    other = S("-0") + mu
+    assert engine._refuted([nogood], B, other)
+    with pytest.raises(InternalError, match="Farkas certificate does not prove infeasibility"):
+        engine._refuted([_doubled(nogood)], B, other)
+
+
+def test_mutated_nogood_exits_5(tmp_path, capsys, monkeypatch):
+    A, B, T = _birch()
+    paths = []
+    for name, matrix in (("A", A), ("B", B)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(matrix.to_json_dict()))
+    (tmp_path / "T.txt").write_text("".join(f"{t}\n" for t in T))
+    argv = ["injectivity", "--A", str(paths[0]), "--B", str(paths[1]), "--S-signs", str(tmp_path / "T.txt")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    nogood = engine._nogood
+    monkeypatch.setattr(engine, "_nogood", lambda *args: _doubled(nogood(*args)))
+    assert main(argv) == 5
+    assert capsys.readouterr() == ("", "internal error: Farkas certificate does not prove infeasibility\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from signject.errors import InternalError
 from signject.feasibility import (
     StrictSystem,
-    _check_certificate,
+    check_certificate,
     _check_witness,
     cone_interior_membership,
     feasible_sign_pair,
@@ -151,10 +151,10 @@ def test_rechecks_reject_bad_results(nvars, m, k, rnd):
             bad.append(lam[:i] + [-lam[i]] + lam[i + 1:])
         for cand in bad:
             with pytest.raises(InternalError):
-                _check_certificate(nvars, rows, cand)
+                check_certificate(nvars, rows, cand)
         candidates += bad
     for cand in candidates:
-        assert _accepts(_check_certificate, nvars, rows, cand) == _check_farkas(sys, cand)
+        assert _accepts(check_certificate, nvars, rows, cand) == _check_farkas(sys, cand)
 
 
 @settings(max_examples=40, deadline=None)

@@ -119,6 +119,8 @@ FUTILE_NT, FUTILE_V3 = special_inputs(FUTILE)
 TWOSITE_NT, TWOSITE_V3 = special_inputs(TWOSITE)
 # bench/networks/pair.txt, comment line included
 PAIR_FILE = "# S = span{(1, 1)}: with M = (1, -1), the pair of acceptance criterion 11.\n" + PAIR
+# bench/networks/dual.txt as it is: the DUAL network behind a comment
+DUAL_FILE = (Path(__file__).resolve().parent.parent / "bench" / "networks" / "dual.txt").read_text()
 
 # (name, argv with {file} placeholders, input files, expected exit code)
 CASES = [
@@ -201,6 +203,10 @@ CASES = [
      ["crn", "preclude", "{net}"], {"net": FUTILE}, 0),
     ("crn_preclude_twosite",
      ["crn", "preclude", "{net}"], {"net": TWOSITE}, 0),
+    # the sign search stops at its LP budget (counterexample null, with a
+    # warning) and the steady-state grid at its own (the exhausted note)
+    ("crn_preclude_dual",
+     ["crn", "preclude", "{net}"], {"net": DUAL_FILE}, 3),
     ("crn_special_unique",
      ["crn", "special", "{net}", "--M", "{M}"],
      {"net": INTERCONVERSION, "M": I2}, 0),
@@ -406,6 +412,33 @@ def sign_search_outputs(workdir: Path):
     return out
 
 
+def full_space_cases():
+    """(name, files) of 40 seeded ``--full-space`` instances with integer A and
+    fractional B of full column rank, so that every one that is not injective
+    takes its counterexample from ``_full_space_counterexample``: its pair LP's
+    witness, which differs from the first LP's in many of them."""
+    rnd = random.Random(f"full-space-{ROUTE_SEED}")
+    cases = []
+    while len(cases) < 40:
+        n = rnd.randint(1, 3)
+        r = rnd.randint(n, 4)
+        m = rnd.randint(1, 3)
+        A = [[rnd.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        B = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)) for _ in range(n)] for _ in range(r)]
+        if rank(RationalMatrix(B)) == n and any(v for row in A for v in row):
+            cases.append((f"full/{len(cases)}/{m}x{r}x{n}", {"A": _m(A), "B": _m(B)}))
+    return cases
+
+
+def full_space_outputs(workdir: Path):
+    """{case: [exit code, sha256 of the JSON bytes]}."""
+    out = {}
+    for name, files in full_space_cases():
+        code, data = run_case(["injectivity", "--A", "{A}", "--B", "{B}", "--full-space"], files, workdir)
+        out[name] = [code, hashlib.sha256(data).hexdigest()]
+    return out
+
+
 def matroid_outputs(workdir: Path):
     """{command/config: [exit code, sha256 of the JSON bytes]}."""
     out = {}
@@ -489,6 +522,14 @@ def test_sign_search_golden(tmp_path, capsys):
     assert got == json.loads((GOLDEN / "sign_search.json").read_text())
 
 
+def test_full_space_golden(tmp_path, capsys):
+    got = full_space_outputs(tmp_path)
+    capsys.readouterr()
+    expected = json.loads((GOLDEN / "full_space.json").read_text())
+    assert sum(code == 3 for code, _ in expected.values()) >= 10
+    assert got == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -508,4 +549,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = sign_search_outputs(Path(tmp))
     (GOLDEN / "sign_search.json").write_text(json.dumps(outputs, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = full_space_outputs(Path(tmp))
+    (GOLDEN / "full_space.json").write_text(json.dumps(outputs, indent=1) + "\n")
     (GOLDEN / "oracle.json").write_text(json.dumps(oracle_outputs(), indent=1) + "\n")
