@@ -428,7 +428,8 @@ def multistationarity_witness(
         x_num, y_num = exponential_pair(z, v)
         # numeric spot check of x^M = y^M on top of the exact Mv = 0 certificate
         tolerance = mp.mpf(10) ** (-NUMERIC_DIGITS + 5)
-        for a, b in zip(_monomials(M, x_num, mp), _monomials(M, y_num, mp)):
+        for a, b in zip(_monomials(M, x_num, mp.prec), _monomials(M, y_num, mp.prec)):
+            a, b = mp.make_mpf(a), mp.make_mpf(b)
             if not abs(a - b) < tolerance * a:
                 raise VerificationFailed("x^M and y^M differ numerically")
         return SpecialWitness(

@@ -5,15 +5,16 @@ with respect to a subset S of R^n, for all positive kappa. Three routes exist
 and provably agree: the paired-minor sign test, the symbolic determinant of
 the bordered square matrix, and the exhaustive sign-pair search. All
 verdict-bearing arithmetic is exact; floating point enters only when a
-counterexample witness is rendered and re-verified at high precision. mpmath
-is imported by the functions that do that (evaluate_map and the witness
-builder), so importing this module, or deciding a verdict of "injective",
-does not load it.
+counterexample witness is rendered and re-verified at high precision. The
+witness builder and evaluate_map compute on raw mpmath.libmp values, with the
+roundings mpmath's contexts use: to nearest for points, as mp does, and
+outward for enclosures, as iv does. They import mpmath when called, so
+importing this module, or deciding a verdict of "injective", does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -315,26 +316,48 @@ class Verdict:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def _from_exact(value, ctx=None):
-    """value as an mpf of ctx (mpmath.mp when None)."""
-    if ctx is None:
-        from mpmath import mp as ctx
-    if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
-    return ctx.mpf(value)
+def _to_libmp(value, prec: int, interval: bool = False):
+    """A Fraction, int or mpf as a raw mpmath.libmp value at prec bits: for p / q
+    the interval of iv.mpf(p) / iv.mpf(q), or the point of mp.mpf(p) / mp.mpf(q)
+    (no division by q = 1, which changes no bit). An mpf enters an interval
+    exactly, as iv takes it, and a point rounded to nearest, as mp.mpf does."""
+    from mpmath import libmp
+
+    if not isinstance(value, (int, Fraction)):
+        v = value._mpf_
+        return (v, v) if interval else libmp.mpf_pos(v, prec, libmp.round_nearest)
+    p, q = value.numerator, value.denominator
+    if interval:
+        floor, ceiling = libmp.round_floor, libmp.round_ceiling
+        num = (libmp.from_int(p, prec, floor), libmp.from_int(p, prec, ceiling))
+        if q == 1:
+            return num
+        return libmp.mpi_div(num, (libmp.from_int(q, prec, floor), libmp.from_int(q, prec, ceiling)), prec)
+    rn = libmp.round_nearest
+    num = libmp.from_int(p, prec, rn)
+    return num if q == 1 else libmp.mpf_div(num, libmp.from_int(q, prec, rn), prec, rn)
 
 
-def _monomials(B: RationalMatrix, x, ctx):
-    """x^B, one value per row of B, in ctx (mp for points, iv for enclosures)."""
-    logs = [ctx.log(_from_exact(xi, ctx)) for xi in x]
+def _monomials(B: RationalMatrix, x, prec: int, interval: bool = False):
+    """x^B as raw mpmath.libmp values at prec bits, points as mp computes them or
+    enclosures as iv does: row j is exp(sum_i b_ji ln x_i), summed left to
+    right from 0 over the nonzero b_ji."""
+    from mpmath import libmp
+
+    if interval:
+        log, mul, add, exp = libmp.mpi_log, libmp.mpi_mul, libmp.mpi_add, libmp.mpi_exp
+        zero, tail = (libmp.fzero, libmp.fzero), (prec,)
+    else:
+        log, mul, add, exp = libmp.mpf_log, libmp.mpf_mul, libmp.mpf_add, libmp.mpf_exp
+        zero, tail = libmp.fzero, (prec, libmp.round_nearest)
+    logs = [log(_to_libmp(xi, prec, interval), *tail) for xi in x]
     out = []
-    for j in range(B.rows):
-        expo = ctx.mpf(0)
-        for i in range(B.cols):
-            b = B.entries[j][i]
-            if b != 0:
-                expo += _from_exact(b, ctx) * logs[i]
-        out.append(ctx.exp(expo))
+    for row in B.entries:
+        expo = zero
+        for b, log_x in zip(row, logs):
+            if b:
+                expo = add(expo, mul(_to_libmp(b, prec, interval), log_x, *tail), *tail)
+        out.append(exp(expo, *tail))
     return out
 
 
@@ -344,7 +367,8 @@ def evaluate_map(
     """f_kappa(x) = A diag(kappa) x^B with a rigorous interval error bound.
 
     Returns (values, error_bound): midpoints and the largest interval radius,
-    both as mpf at the working precision.
+    both as mpf at the working precision. Each entry is the interval sum, left
+    to right from 0, of (a_ij kappa_j) x^B_j over the nonzero a_ij.
     """
     if A.cols != B.rows:
         raise ShapeMismatch("A and B are not composable")
@@ -354,39 +378,23 @@ def evaluate_map(
         raise LengthMismatch("kappa must match columns of A; x must match columns of B")
     if any(k <= 0 for k in kappa) or any(xi <= 0 for xi in x):
         raise NonPositiveInput("kappa and x must be componentwise positive")
-    from mpmath import mp
+    from mpmath import libmp, mp
 
-    ctx = _interval_context(prec)
-    with mp.workprec(prec):
-        mono = _monomials(B, x, ctx)
-        values = []
-        radius = mp.mpf(0)
-        for i in range(A.rows):
-            acc = ctx.mpf(0)
-            for j in range(A.cols):
-                a = A.entries[i][j]
-                if a != 0:
-                    acc += _from_exact(a, ctx) * _from_exact(kappa[j], ctx) * mono[j]
-            values.append(mp.mpf(acc.mid))
-            radius = max(radius, mp.mpf(acc.delta) / 2)
-        return tuple(values), radius
-
-
-@cache
-def _interval_context(prec: int):
-    """A private interval context at prec bits; mpmath.iv's precision is never set."""
-    from mpmath.ctx_iv import MPIntervalContext
-
-    ctx = MPIntervalContext()
-    ctx.prec = prec
-    return ctx
-
-
-def _mpf_to_fraction(value) -> Fraction:
-    from mpmath import libmp
-
-    num, den = libmp.to_rational(value._mpf_)
-    return Fraction(int(num), int(den))
+    mul, add = libmp.mpi_mul, libmp.mpi_add
+    kappa = [_to_libmp(k, prec, True) for k in kappa]
+    mono = _monomials(B, x, prec, interval=True)
+    values = []
+    radius = libmp.fzero
+    for row in A.entries:
+        acc = (libmp.fzero, libmp.fzero)
+        for a, k, m in zip(row, kappa, mono):
+            if a:
+                acc = add(acc, mul(mul(_to_libmp(a, prec, True), k, prec), m, prec), prec)
+        values.append(mp.make_mpf(libmp.mpi_mid(acc, prec)))
+        half = libmp.mpf_shift(libmp.mpi_delta(acc, prec), -1)
+        if libmp.mpf_gt(half, radius):
+            radius = half
+    return tuple(values), mp.make_mpf(radius)
 
 
 # -- counterexample construction ----------------------------------------------
@@ -398,18 +406,20 @@ def exponential_pair(z, v):
     z and v are rational with one sign pattern: y_i = z_i / (e^{v_i} - 1) and
     x_i = y_i e^{v_i}, and x_i = y_i = 1 where z_i = 0.
     """
-    from mpmath import mp
+    from mpmath import libmp, mp
 
+    prec, rn = mp.prec, libmp.round_nearest
+    one = mp.make_mpf(libmp.fone)
     x, y = [], []
     for zi, vi in zip(z, v):
         if zi == 0:
-            x.append(mp.mpf(1))
-            y.append(mp.mpf(1))
+            x.append(one)
+            y.append(one)
         else:
-            ev = mp.exp(_from_exact(vi))
-            yi = _from_exact(zi) / (ev - 1)
-            y.append(yi)
-            x.append(yi * ev)
+            ev = libmp.mpf_exp(_to_libmp(vi, prec), prec, rn)
+            yi = libmp.mpf_div(_to_libmp(zi, prec), libmp.mpf_sub(ev, libmp.fone, prec, rn), prec, rn)
+            y.append(mp.make_mpf(yi))
+            x.append(mp.make_mpf(libmp.mpf_mul(yi, ev, prec, rn)))
     return x, y
 
 
@@ -449,22 +459,24 @@ def construct_counterexample(
         if w is None:
             raise VerificationFailed("mu is not a sign vector of ker(A)")
 
-    from mpmath import mp
+    from mpmath import libmp, mp
 
+    rn = libmp.round_nearest
     for attempt_prec in (prec, max(4 * prec, 1024)):
         with mp.workprec(attempt_prec):
             x_num, y_num = exponential_pair(z, y_hat)
-            xB = _monomials(B, x_num, mp)
-            yB = _monomials(B, y_num, mp)
+            xB = _monomials(B, x_num, attempt_prec)
+            yB = _monomials(B, y_num, attempt_prec)
             kappa = []
-            for j in range(A.cols):
-                if w[j] == 0:
+            for wj, xBj, yBj in zip(w, xB, yB):
+                if wj == 0:
                     kappa.append(Fraction(1))
                 else:
-                    kj = _from_exact(w[j]) / (xB[j] - yB[j])
-                    if kj <= 0:
+                    diff = libmp.mpf_sub(xBj, yBj, attempt_prec, rn)
+                    kj = libmp.mpf_div(_to_libmp(wj, attempt_prec), diff, attempt_prec, rn)
+                    if libmp.mpf_sign(kj) <= 0:
                         raise VerificationFailed("constructed kappa is not positive")
-                    kappa.append(_mpf_to_fraction(kj))
+                    kappa.append(Fraction(*map(int, libmp.to_rational(kj))))
             ok, bound = verify_counterexample(A, B, kappa, x_num, y_num, attempt_prec)
             if ok:
                 digits = int(attempt_prec * 0.3010299957) + 2

@@ -10,9 +10,10 @@ system is solved by a phase-1 simplex with Bland's rule, so termination is
 guaranteed. The simplex works on integer rows, each a positive multiple of
 its rational row, so it takes the pivots of the rational simplex and both
 witnesses and Farkas certificates are exact. Every witness and every
-certificate is re-verified over Fraction before it is returned, on the
-nonzero entries of the same (row, sign) pairs: a zero coefficient or a zero
-multiplier adds nothing to a sum, so it is skipped.
+certificate is re-verified exactly before it is returned, on the nonzero
+entries of the same (row, sign) pairs: a zero coefficient or a zero
+multiplier adds nothing to a sum, so it is skipped. Both re-checks sum
+Python integers over one common denominator.
 """
 from __future__ import annotations
 
@@ -208,25 +209,30 @@ def solve_strict(sys: StrictSystem) -> FeasibilityResult:
 
 
 def _check_witness(rows, witness):
+    """Raise unless each row gives the witness its sign: the sign of an
+    integer sum, with the witness over one denominator and each row over its own."""
+    den = lcm(*(w.denominator for w in witness))
+    u = [w.numerator * (den // w.denominator) for w in witness]
     for coeffs, s in rows:
-        if sign_of(sum((c * w for c, w in zip(coeffs, witness) if c), Fraction(0))) != s:
+        scale = lcm(*(c.denominator for c in coeffs))
+        if sign_of(sum(c.numerator * (scale // c.denominator) * v for c, v in zip(coeffs, u) if c)) != s:
             raise InternalError("witness violates a strict constraint; solver bug")
 
 
 def check_certificate(nvars, rows, certificate):
-    combo = [Fraction(0)] * nvars
-    total = Fraction(0)
-    for (coeffs, s), l in zip(rows, certificate):
-        if s:
-            if l < 0:
-                raise InternalError("Farkas multiplier for an inequality is negative")
-            total += l
-            l *= s
-        if l:
-            for j, c in enumerate(coeffs):
-                if c:
-                    combo[j] += l * c
-    if any(combo) or total <= 0:
+    """Raise unless lam >= 0 on the inequalities, sum lam_i s_i row_i = 0 (s_i =
+    1 on an equality) and the inequalities' total is positive: with no negative
+    lam_i, iff one is nonzero. Each product lam_i s_i c_ij is put over one
+    common denominator, so the combination sums integers."""
+    if any(s and l < 0 for (_, s), l in zip(rows, certificate)):
+        raise InternalError("Farkas multiplier for an inequality is negative")
+    products = [(j, l.numerator * (s or 1) * c.numerator, l.denominator * c.denominator)
+                for (coeffs, s), l in zip(rows, certificate) if l for j, c in enumerate(coeffs) if c]
+    den = lcm(*(d for _, _, d in products))
+    combo = [0] * nvars
+    for j, p, d in products:
+        combo[j] += p * (den // d)
+    if any(combo) or not any(s and l for (_, s), l in zip(rows, certificate)):
         raise InternalError("Farkas certificate does not prove infeasibility")
 
 

@@ -31,9 +31,6 @@ class Chirotope:
     def __getitem__(self, subset):
         return self.signs[tuple(sorted(subset))]
 
-    def negate(self) -> "Chirotope":
-        return Chirotope(self.rank, self.ground_size, {k: -v for k, v in self.signs.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, Chirotope)
@@ -157,11 +154,3 @@ def common_sign_vectors(M: RationalMatrix, C: RationalMatrix):
     shared.discard((0, 0))
     return _sign_vectors(shared, M.cols)
 
-
-def same_oriented_matroid(A: RationalMatrix, Bt: RationalMatrix) -> bool:
-    """True iff chirotopes agree up to global negation."""
-    if A.rows != Bt.rows or A.cols != Bt.cols:
-        raise ShapeMismatch("configurations must share shape")
-    chi_a = chirotope(A)
-    chi_b = chirotope(Bt)
-    return chi_a == chi_b or chi_a == chi_b.negate()

@@ -14,7 +14,6 @@ Matrices are immutable once constructed.
 """
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -161,9 +160,6 @@ class RationalMatrix:
             "cols": self.cols,
             "entries": [[str(e) for e in row] for row in self.entries],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalMatrix":

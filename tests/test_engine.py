@@ -191,9 +191,9 @@ def test_evaluate_map():
 
 
 def test_evaluate_map_leaves_global_interval_context(monkeypatch):
-    """evaluate_map works in a private interval context per precision: it
-    neither reads nor sets the global mpmath.iv, whose precision therefore
-    does not change the result."""
+    """evaluate_map computes on raw mpmath.libmp intervals at the precision it
+    is given, in no interval context: it neither reads nor sets the global
+    mpmath.iv, whose precision therefore does not change the result."""
     import mpmath
 
     A, B = M([[1, -1], [2, 1]]), M([["1/2", "1"], ["3", "-1/3"]])
@@ -206,6 +206,101 @@ def test_evaluate_map_leaves_global_interval_context(monkeypatch):
     assert evaluate_map(A, B, kappa, x, 256) == first
     low = evaluate_map(A, B, kappa, x, 64)
     assert low != first and abs(low[0][0] - first[0][0]) < mp.mpf("1e-15")
+
+
+_REFERENCE_CONTEXTS = {}
+
+
+def _reference_exact(value, ctx):
+    """value in ctx as the interval context and mp took it before the libmp
+    evaluation: a Fraction as ctx.mpf(p) / ctx.mpf(q), anything else as ctx.mpf."""
+    if isinstance(value, Fraction):
+        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return ctx.mpf(value)
+
+
+def _reference_monomials(B, x, ctx):
+    logs = [ctx.log(_reference_exact(xi, ctx)) for xi in x]
+    out = []
+    for row in B.entries:
+        expo = ctx.mpf(0)
+        for b, log_x in zip(row, logs):
+            if b != 0:
+                expo += _reference_exact(b, ctx) * log_x
+        out.append(ctx.exp(expo))
+    return out
+
+
+def _reference_evaluate_map(A, B, kappa, x, prec):
+    """evaluate_map as it was computed in a private MPIntervalContext."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    if prec not in _REFERENCE_CONTEXTS:
+        _REFERENCE_CONTEXTS[prec] = MPIntervalContext()
+        _REFERENCE_CONTEXTS[prec].prec = prec
+    ctx = _REFERENCE_CONTEXTS[prec]
+    with mp.workprec(prec):
+        mono = _reference_monomials(B, x, ctx)
+        values, radius = [], mp.mpf(0)
+        for row in A.entries:
+            acc = ctx.mpf(0)
+            for a, k, m in zip(row, kappa, mono):
+                if a != 0:
+                    acc += _reference_exact(a, ctx) * _reference_exact(k, ctx) * m
+            values.append(mp.mpf(acc.mid))
+            radius = max(radius, mp.mpf(acc.delta) / 2)
+        return tuple(values), radius
+
+
+def _random_map_input(rnd):
+    """(A, B, kappa, x): rational A, fractional B, kappa with numerators and
+    denominators of about 300 bits, and x mixing Fractions, ints and mpfs of
+    up to 2,000 bits, some of them close to 1."""
+    from mpmath import libmp
+
+    m, r, n = rnd.randint(1, 3), rnd.randint(1, 4), rnd.randint(1, 3)
+    A = M([[Fraction(rnd.randint(-6, 6), rnd.choice([1, 1, 2, 3])) for _ in range(r)] for _ in range(m)])
+    B = M([[Fraction(rnd.randint(-7, 7), rnd.randint(1, 6)) for _ in range(n)] for _ in range(r)])
+    kappa = [Fraction(rnd.getrandbits(300) + 1, rnd.getrandbits(300) + 1) for _ in range(r)]
+    x = []
+    for _ in range(n):
+        kind = rnd.randrange(3)
+        if kind == 0:
+            x.append(Fraction(rnd.getrandbits(rnd.randint(1, 300)) + 1, rnd.getrandbits(rnd.randint(1, 300)) + 1))
+        elif kind == 1:
+            x.append(rnd.getrandbits(rnd.randint(1, 300)) + 1)
+        elif rnd.randrange(2):
+            x.append(mp.make_mpf(libmp.from_man_exp(rnd.getrandbits(rnd.randint(1, 2000)) | 1,
+                                                    rnd.randint(-3000, 1000))))
+        else:
+            # close to 1, where rounding x moves ln x by many ulps
+            bits = rnd.randint(20, 2000)
+            x.append(mp.make_mpf(libmp.from_man_exp((1 << bits) + (rnd.getrandbits(bits - 10) | 1), -bits)))
+    return A, B, kappa, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([64, 128, 256, 1024]))
+def test_evaluate_map_matches_the_interval_context(rnd, prec):
+    """The libmp evaluation gives, bit for bit, the values and radius that
+    mpmath's interval context gives with the same operations, at every
+    precision the witness builder uses (1,024 bits is its retry)."""
+    A, B, kappa, x = _random_map_input(rnd)
+    values, radius = evaluate_map(A, B, kappa, x, prec)
+    ref_values, ref_radius = _reference_evaluate_map(A, B, kappa, x, prec)
+    assert [v._mpf_ for v in values] == [v._mpf_ for v in ref_values]
+    assert radius._mpf_ == ref_radius._mpf_
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([64, 128, 256, 1024]))
+def test_point_monomials_match_the_mp_context(rnd, prec):
+    """The point x^B of the witness builder is, bit for bit, what mp computes
+    at the same precision with round-to-nearest."""
+    _, B, _, x = _random_map_input(rnd)
+    with mp.workprec(prec):
+        reference = [v._mpf_ for v in _reference_monomials(B, x, mp)]
+    assert engine._monomials(B, x, prec) == reference
 
 
 def test_subspace_presentations_computed_once(monkeypatch):

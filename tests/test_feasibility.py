@@ -157,6 +157,83 @@ def test_rechecks_reject_bad_results(nvars, m, k, rnd):
         assert _accepts(check_certificate, nvars, rows, cand) == _check_farkas(sys, cand)
 
 
+def _fraction_check_witness(rows, witness):
+    """The witness re-check as it was over Fraction: the reference the
+    integer re-check is held to."""
+    for coeffs, s in rows:
+        if sign_of(sum((c * w for c, w in zip(coeffs, witness) if c), Fraction(0))) != s:
+            raise InternalError("witness violates a strict constraint; solver bug")
+
+
+def _fraction_check_certificate(nvars, rows, certificate):
+    """The certificate re-check as it was over Fraction."""
+    combo = [Fraction(0)] * nvars
+    total = Fraction(0)
+    for (coeffs, s), l in zip(rows, certificate):
+        if s:
+            if l < 0:
+                raise InternalError("Farkas multiplier for an inequality is negative")
+            total += l
+            l *= s
+        if l:
+            for j, c in enumerate(coeffs):
+                if c:
+                    combo[j] += l * c
+    if any(combo) or total <= 0:
+        raise InternalError("Farkas certificate does not prove infeasibility")
+
+
+def _outcome(check, *args):
+    """None if check accepts, else its InternalError message."""
+    try:
+        check(*args)
+    except InternalError as error:
+        return str(error)
+    return None
+
+
+def _sign_flipped(rows, i):
+    coeffs, s = rows[i]
+    return rows[:i] + [(coeffs, -s if s else 1)] + rows[i + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@strict_systems
+def test_integer_rechecks_match_fraction_references(nvars, m, k, rnd):
+    """The integer re-checks accept and reject, with the same messages, what
+    the Fraction re-checks do: on the solver's own witness or certificate, and
+    on each with one multiplier or entry doubled, one row's sign flipped, a
+    negative inequality multiplier or an all-zero inequality total."""
+    sys = _draw_system(nvars, m, k, rnd)
+    rows = sys.constraint_rows()
+    res = solve_strict(sys)
+    if res.feasible:
+        w = list(res.witness)
+        cases = [(rows, w), (rows, [-v for v in w])]
+        cases += [(rows, w[:j] + [2 * w[j]] + w[j + 1:]) for j in range(nvars)]
+        cases += [(_sign_flipped(rows, i), w) for i in range(len(rows))]
+        cases.append((rows, [Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in w]))
+        for case_rows, cand in cases:
+            assert _outcome(_check_witness, case_rows, cand) == _outcome(_fraction_check_witness, case_rows, cand)
+        assert _outcome(_check_witness, rows, w) is None
+        return
+    lam = list(res.certificate)
+    inequalities = [i for i, (_, s) in enumerate(rows) if s]
+    cases = [(rows, lam)]
+    cases += [(rows, lam[:i] + [2 * lam[i]] + lam[i + 1:]) for i in range(len(rows)) if lam[i]]
+    cases += [(_sign_flipped(rows, i), lam) for i in range(len(rows))]
+    negative = [lam[:i] + [-lam[i] if lam[i] else Fraction(-1, 3)] + lam[i + 1:] for i in inequalities]
+    zero_total = [Fraction(0) if s else l for (_, s), l in zip(rows, lam)]
+    cases += [(rows, cand) for cand in negative + [zero_total]]
+    for case_rows, cand in cases:
+        assert (_outcome(check_certificate, nvars, case_rows, cand)
+                == _outcome(_fraction_check_certificate, nvars, case_rows, cand))
+    assert _outcome(check_certificate, nvars, rows, lam) is None
+    for cand in negative:
+        assert _outcome(check_certificate, nvars, rows, cand) == "Farkas multiplier for an inequality is negative"
+    assert _outcome(check_certificate, nvars, rows, zero_total) == "Farkas certificate does not prove infeasibility"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_witness_homogeneity(rnd):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signject.descartes import check_ex
 from signject.errors import RankDeficient, ShapeMismatch, TooLarge
 from signject.matroid import (
     chirotope,
@@ -12,7 +13,6 @@ from signject.matroid import (
     covectors,
     image_sign_vectors,
     matroid_vectors,
-    same_oriented_matroid,
 )
 from signject.oracle import brute_force_sign_set
 from signject.ratmat import RationalMatrix, rank
@@ -31,6 +31,11 @@ def test_chirotope_worked():
 
 
 def test_same_oriented_matroid():
+    """check_ex's matroid_equal: the maximal minors of A and of Bt agree in
+    sign, all alike or all opposite."""
+    def same_oriented_matroid(A, Bt):
+        return check_ex(A, Bt.transpose()).matroid_equal
+
     A = M([[1, 0, 1], [0, 1, 1]])
     B = M([[2, 0, 3], [0, 5, 4]])
     assert same_oriented_matroid(A, B)

@@ -44,7 +44,7 @@ def test_parse_rational():
 
 def test_json_round_trip():
     A = M([["1/2", "-3"], ["0", "7/5"]])
-    data = json.loads(A.to_json())
+    data = json.loads(json.dumps(A.to_json_dict()))
     assert RationalMatrix.from_json_dict(data) == A
     data["entries"][0][0] = "0.5"
     with pytest.raises(ParseError):
