@@ -36,6 +36,7 @@ from .engine import (
     gamma_det_poly,
 )
 from .errors import InternalError, ParseError, SignjectError, TooLarge
+from .feasibility import cone_interior_membership
 from .matroid import chirotope, cocircuits, covectors
 from .ratmat import RationalMatrix, parse_rational
 from .signs import SignVector
@@ -94,7 +95,7 @@ def _subset_from_args(args):
         return Subspace(C=_load_matrix(args.S_image))
     if args.S_kernel:
         return Subspace(Z=_load_matrix(args.S_kernel))
-    return OrthantUnion(_load("sign", args.S_signs, _parse_signs))
+    return _load("sign", args.S_signs, lambda text: OrthantUnion(_parse_signs(text)))
 
 
 # -- one handler per leaf command: each returns (holds, body, summary) ---------
@@ -152,7 +153,7 @@ def _descartes_ex(args):
 
 def _descartes_cone(args):
     A = _load_matrix(args.A)
-    inside = descartes.cone_query(A, _parse_vector(args.y))
+    inside = cone_interior_membership(A, _parse_vector(args.y)).feasible
     return (inside, {"in_open_cone": inside},
             f"point {'lies' if inside else 'does not lie'} in the open cone")
 
@@ -167,7 +168,8 @@ def _crn_special(args):
     net = _load_network(args)
     M = _load_matrix(args.M)
     N, _ = crn.stoichiometry(net)
-    # one sign-set intersection: the witness is None exactly when special_unique holds
+    # one sign-set intersection: the witness is None exactly when sigma(ker M) and
+    # sigma(im N) share no nonzero sign vector, so special steady states are unique
     witness = crn.multistationarity_witness(M, Subspace(C=N), args.assume_coset)
     unique = witness is None
     return (unique, {"unique": unique, "witness": None if unique else witness.to_json_dict()},

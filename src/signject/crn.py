@@ -5,7 +5,9 @@ dx/dt = N diag(kappa) x^V. Injectivity of that map with respect to the
 stoichiometric subspace im(N), for all kappa, precludes two distinct positive
 steady states in any compatibility class. When injectivity fails, a concrete
 pair of steady states is searched for; failure alone does not imply one
-exists.
+exists. Special steady states are at most one per coset of S, for all kappa,
+exactly when ``multistationarity_witness`` finds no nonzero sign vector shared
+by sigma(ker M) and sigma(S); otherwise it builds two of them.
 """
 from __future__ import annotations
 
@@ -68,13 +70,16 @@ def _parse_complex(text: str, line_no: int, col0: int):
     terms = []
     offset = col0
     for chunk in text.split("+"):
+        col = offset + len(chunk) - len(chunk.lstrip()) + 1  # the term's first character
         m = _TERM_RE.match(chunk)
         if m is None:
-            col = offset + len(chunk) - len(chunk.lstrip()) + 1
             raise ParseError(f"cannot read complex term {chunk.strip()!r}", line=line_no, column=col)
-        coeff = Fraction(1) if m.group(1) is None else parse_rational(m.group(1))
+        try:
+            coeff = Fraction(1) if m.group(1) is None else parse_rational(m.group(1))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=line_no, column=col) from None
         if coeff <= 0:
-            raise ParseError("stoichiometric coefficients must be positive", line=line_no, column=offset + 1)
+            raise ParseError("stoichiometric coefficients must be positive", line=line_no, column=col)
         terms.append((m.group(2), coeff))
         offset += len(chunk) + 1
     return tuple(terms)
@@ -119,23 +124,6 @@ def _net_vector(complex_):
     for name, c in complex_:
         net[name] = net.get(name, Fraction(0)) + c
     return {k: v for k, v in net.items() if v != 0}
-
-
-def _render_complex(complex_):
-    if not complex_:
-        return "0"
-    parts = []
-    for name, c in complex_:
-        parts.append(name if c == 1 else f"{c} {name}")
-    return " + ".join(parts)
-
-
-def render(net: ReactionNetwork) -> str:
-    lines = [
-        f"{label}: {_render_complex(rc)} -> {_render_complex(pc)}"
-        for label, rc, pc in net.reactions
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def apply_kinetic_orders(net: ReactionNetwork, mapping: dict) -> ReactionNetwork:
@@ -368,20 +356,6 @@ def _screened(nogoods, x_point, y_point) -> bool:
 # -- special steady states ----------------------------------------------------
 
 
-def _shared_signs(M: RationalMatrix, S: Subspace):
-    """sigma(ker M) and sigma(S) in common, nonzero; none when S = 0."""
-    if M.cols != S.ambient_dim:
-        raise ShapeMismatch("M must have one column per species")
-    if S.dim() == 0:
-        return []
-    return common_sign_vectors(M, S.image_presentation())
-
-
-def special_unique(M: RationalMatrix, S: Subspace) -> bool:
-    """At most one special steady state per compatibility class, for all kappa."""
-    return not _shared_signs(M, S)
-
-
 @dataclass(frozen=True)
 class SpecialWitness:
     """Two positive points in one coset of S with identical M-monomial values.
@@ -411,8 +385,11 @@ class SpecialWitness:
 def multistationarity_witness(
     M: RationalMatrix, S: Subspace, assume_coset: bool = False
 ) -> Optional[SpecialWitness]:
-    """Construct x*, y* in one coset with (x*)^M = (y*)^M, or None if impossible."""
-    shared = _shared_signs(M, S)
+    """Construct x*, y* in one coset with (x*)^M = (y*)^M, or None when
+    sigma(ker M) and sigma(S) share no nonzero sign vector."""
+    if M.cols != S.ambient_dim:
+        raise ShapeMismatch("M must have one column per species")
+    shared = common_sign_vectors(M, S.image_presentation()) if S.dim() else ()
     if not shared:
         return None
     rho = shared[0]

@@ -5,7 +5,8 @@ solution for every y when the paired maximal minors of A and B share a sign
 (bnd); it has exactly one for every y in the open cone of A when additionally
 the rows of B fit in an open half-space and A and B^T define the same oriented
 matroid (ex). The classical univariate variation count is kept alongside as a
-cross-check.
+cross-check. The open-cone query of ``descartes cone`` is
+``feasibility.cone_interior_membership``.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from itertools import combinations
 from typing import Optional
 
 from .engine import check_minors
-from .errors import InternalError, RankDeficient, ShapeMismatch, TooLarge
-from .feasibility import cone_interior_membership, open_halfspace_contains_rows
-from .matroid import GROUND_SET_GUARD, common_sign_vectors
+from .errors import InternalError, RankDeficient, ShapeMismatch
+from .feasibility import open_halfspace_contains_rows
 from .ratmat import RationalMatrix, det, rank
 from .signs import sign_of
 
@@ -112,35 +112,7 @@ def check_ex(A: RationalMatrix, B: RationalMatrix) -> DescartesReport:
     )
 
 
-def cone_query(A: RationalMatrix, y) -> bool:
-    """Is y an interior point of the cone of positive combinations of columns of A?"""
-    return cone_interior_membership(A, y).feasible
-
-
 def univariate_sign_variations(coeffs) -> int:
     """Drop zeros, then count adjacent sign changes."""
     signs = [sign_of(c) for c in coeffs if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def check_at_most_one_solution(A: RationalMatrix, B: RationalMatrix) -> bool:
-    """At most one positive solution of A x^B = y for every y (m arbitrary).
-
-    Equivalent to sigma(ker A) intersecting sigma(im B) only in zero. For
-    m = n this reduces to the paired-minor test; m < n never holds on
-    dimension grounds.
-    """
-    m, r = A.rows, A.cols
-    if B.rows != r:
-        raise ShapeMismatch("B must have one row per column of A")
-    n = B.cols
-    if rank(B) < n:
-        raise RankDeficient("B does not have full column rank")
-    if m < n:
-        return False
-    if m == n and rank(A) == n:
-        holds, _ = check_bnd(A, B)
-        return holds
-    if r > GROUND_SET_GUARD:
-        raise TooLarge(f"sign-set intersection guarded at ground-set size {GROUND_SET_GUARD}")
-    return not common_sign_vectors(A, B)

@@ -26,9 +26,6 @@ from .errors import InternalError, LengthMismatch, ShapeMismatch, VerificationFa
 from .ratmat import RationalMatrix
 from .signs import SignVector, sigma, sign_of
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class StrictSystem:
@@ -76,13 +73,9 @@ def unit_row(n: int, i: int):
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    status: str
+    feasible: bool
     witness: Optional[tuple] = None
     certificate: Optional[tuple] = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
 
 
 # -- phase-1 simplex ----------------------------------------------------------
@@ -200,12 +193,12 @@ def solve_strict(sys: StrictSystem) -> FeasibilityResult:
     witness, lam = _simplex_feasibility(sys.nvars, [rows[i] for i in order])
     if witness is not None:
         _check_witness(rows, witness)
-        return FeasibilityResult(FEASIBLE, witness=witness)
+        return FeasibilityResult(True, witness=witness)
     certificate = [None] * len(rows)
     for i, l in zip(order, lam):
         certificate[i] = l
     check_certificate(sys.nvars, rows, certificate)
-    return FeasibilityResult(INFEASIBLE, certificate=tuple(certificate))
+    return FeasibilityResult(False, certificate=tuple(certificate))
 
 
 def _check_witness(rows, witness):
@@ -273,7 +266,7 @@ def feasible_sign_pair(
 def open_halfspace_contains_rows(B: RationalMatrix) -> FeasibilityResult:
     """Feasible iff some t has b_j . t > 0 for every row b_j of B."""
     if B.rows == 0:
-        return FeasibilityResult(FEASIBLE, witness=tuple(Fraction(0) for _ in range(B.cols)))
+        return FeasibilityResult(True, witness=tuple(Fraction(0) for _ in range(B.cols)))
     return solve_strict(
         StrictSystem(nvars=B.cols, linear_sign_rows=B, linear_signs=SignVector([1] * B.rows))
     )
@@ -305,7 +298,7 @@ def cone_interior_membership(A: RationalMatrix, y) -> FeasibilityResult:
     mu = tuple(v / t for v in result.witness[:r])
     if A.apply(mu) != y:
         raise VerificationFailed("de-homogenized cone witness does not reproduce y")
-    return FeasibilityResult(FEASIBLE, witness=mu)
+    return FeasibilityResult(True, witness=mu)
 
 
 def rational_point_with_sign(E: RationalMatrix, target: SignVector):

@@ -28,20 +28,6 @@ class Chirotope:
     ground_size: int
     signs: dict  # sorted index tuple -> -1/0/+1
 
-    def __getitem__(self, subset):
-        return self.signs[tuple(sorted(subset))]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chirotope)
-            and self.rank == other.rank
-            and self.ground_size == other.ground_size
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.ground_size, tuple(sorted(self.signs.items()))))
-
 
 def chirotope(A: RationalMatrix) -> Chirotope:
     """Sign of det(A_{[n],J}) for every sorted n-subset J of columns."""

@@ -291,10 +291,15 @@ def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
      "bad kinetic-order file in.json: zero denominator: '1/0'"),
     (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\nx+\n",
      "bad sign file in.txt: invalid sign character in 'x+'"),
+    (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\n00\n",
+     "bad sign file in.txt: OrthantUnion sign vectors must be nonzero"),
     (["crn", "preclude", "in.txt"], "k1 A -> B\n",
      "bad network file in.txt: expected 'label: reactant -> product' (line 1, column 1)"),
+    (["crn", "preclude", "in.txt"], "k1: 1/0 A -> B\n",
+     "bad network file in.txt: zero denominator: '1/0' (line 1, column 5)"),
 ], ids=["matrix-true", "matrix-null", "matrix-float", "matrix-rows", "matrix-zero-denominator", "kinetic-list",
-        "kinetic-string", "kinetic-row-number", "kinetic-zero-denominator", "sign-file", "network-file"])
+        "kinetic-string", "kinetic-row-number", "kinetic-zero-denominator", "sign-file", "sign-file-zero-vector",
+        "network-file", "network-zero-denominator"])
 def test_bad_file_lines(tmp_path, capsys, monkeypatch, argv, text, line):
     """A file that reads but does not parse: exit 2, no JSON, one line naming the file."""
     monkeypatch.chdir(tmp_path)

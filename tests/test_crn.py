@@ -14,8 +14,6 @@ from signject.crn import (
     multistationarity_witness,
     parse_network,
     preclude_multistationarity,
-    render,
-    special_unique,
     stoichiometry,
 )
 from signject.engine import Subspace, check_injectivity
@@ -62,6 +60,13 @@ def test_parse_errors_carry_location():
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         parse_network("k1: A -> B\nk1: B -> A\n")  # duplicate labels
+    # a coefficient error points at the first character of its term
+    for text, message, column in (("k1: 1/0 A -> B\n", "zero denominator: '1/0'", 5),
+                                  ("k1: A -> 0 B\n", "stoichiometric coefficients must be positive", 10)):
+        with pytest.raises(ParseError) as exc:
+            parse_network(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert str(exc.value) == f"{message} (line 1, column {column})"
     with pytest.raises(ValueError):
         parse_network("# only comments\n")
 
@@ -72,11 +77,12 @@ def test_zero_reaction_vector_is_a_warning():
 
 
 def test_round_trip():
-    text = "k1: 1/2 A + B -> 3/2 C\nk2: C -> 0\nk3: 2 C -> 3 C\n"
-    net = parse_network(text)
-    again = parse_network(render(net))
-    assert stoichiometry(again) == stoichiometry(net)
-    assert again.species == net.species
+    net = parse_network("k1: 1/2 A + B -> 3/2 C\nk2: C -> 0\nk3: 2 C -> 3 C\n")
+    h = Fraction(1, 2)
+    N, V = stoichiometry(net)
+    assert N == M([[-h, 0, 0], [-1, 0, 0], [3 * h, -1, 1]])
+    assert V == M([[h, 1, 0], [0, 0, 1], [0, 0, 2]])
+    assert net.species == ("A", "B", "C")
 
 
 def test_kinetic_order_override():
@@ -127,11 +133,11 @@ def test_preclusion_agrees_with_sign_search():
 
 def test_special_unique_worked():
     Mm = M([[1, -1]])
-    assert special_unique(Mm, Subspace(C=M([[1], [-1]])))
-    assert not special_unique(Mm, Subspace(C=M([[1], [1]])))
-    assert special_unique(Mm, Subspace(Z=M.identity(2)))
+    assert multistationarity_witness(Mm, Subspace(C=M([[1], [-1]]))) is None
+    assert multistationarity_witness(Mm, Subspace(C=M([[1], [1]]))) is not None
+    assert multistationarity_witness(Mm, Subspace(Z=M.identity(2))) is None
     with pytest.raises(ShapeMismatch):
-        special_unique(M([[1, -1, 0]]), Subspace(C=M([[1], [1]])))
+        multistationarity_witness(M([[1, -1, 0]]), Subspace(C=M([[1], [1]])))
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,7 +279,8 @@ def _power(x, exps):
 
 
 def _random_network(rnd, species):
-    """2 to 5 mass-action reactions between random complexes of up to 3 of each species."""
+    """The text of 2 to 5 mass-action reactions between random complexes of up
+    to 3 of each species."""
 
     def complex_():
         terms = [f"{c} {x}" for x in species if (c := rnd.choice((0, 0, 1, 2, 3)))]
@@ -285,7 +292,7 @@ def _random_network(rnd, species):
         left, right = complex_(), complex_()
         if left != right:
             lines.append(f"k{len(lines) + 1}: {left} -> {right}")
-    return parse_network("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name, budget", [
@@ -314,14 +321,14 @@ def test_steady_state_grid_matches_reference_on_random_networks(monkeypatch):
     rnd = random.Random("steady-state-grid")
     outcomes = set()
     for species in ["A"] * 50 + ["AB", "ABC"] * 6:
-        net = _random_network(rnd, species)
-        N, V = stoichiometry(net)
+        text = _random_network(rnd, species)
+        N, V = stoichiometry(parse_network(text))
         thirds = M([[Fraction(2, 3) * v for v in row] for row in N.entries], N.rows, N.cols)
         for S in (Subspace(C=N), Subspace(C=thirds)):
             if S.dim() == 0:
                 continue
             expected = reference_steady_state_pair(N, V, S, budget)
-            assert crn._steady_state_pair(N, V, S) == expected, render(net)
+            assert crn._steady_state_pair(N, V, S) == expected, text
             outcomes.add((expected[0] is not None, expected[1]))
     assert outcomes == {(True, False), (False, False), (False, True)}
 
@@ -350,14 +357,14 @@ def test_grid_screen_changes_nothing(seed):
     with no more LPs. The networks are drawn from a seed, since
     ``_random_network`` redraws a reaction until its two sides differ."""
     rnd = random.Random(seed)
-    net = _random_network(rnd, rnd.choice(("A", "AB", "ABC")))
-    N, V = stoichiometry(net)
+    text = _random_network(rnd, rnd.choice(("A", "AB", "ABC")))
+    N, V = stoichiometry(parse_network(text))
     S = Subspace(C=N)
     if S.dim() == 0:
         return
     budget = rnd.randint(1, 80)
     with_, without = _grid(N, V, S, budget, True), _grid(N, V, S, budget, False)
-    assert with_[:2] == without[:2], render(net)
+    assert with_[:2] == without[:2], text
     assert with_[2] <= without[2] == without[1]
 
 

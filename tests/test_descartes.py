@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signject.descartes import (
-    check_at_most_one_solution,
-    check_bnd,
-    check_ex,
-    cone_query,
-    univariate_sign_variations,
-)
-from signject.errors import RankDeficient, TooLarge
+from signject.descartes import check_bnd, check_ex, univariate_sign_variations
+from signject.errors import RankDeficient
+from signject.feasibility import cone_interior_membership
 from signject.ratmat import RationalMatrix, rank
 
 M = RationalMatrix
@@ -92,9 +87,9 @@ def test_ex_invariant_under_positive_scaling(rnd):
 
 def test_cone_query():
     I2 = M.identity(2)
-    assert cone_query(I2, [Fraction(1), Fraction(1)])
-    assert not cone_query(I2, [Fraction(1), Fraction(0)])
-    assert cone_query(M([[1, 0, 1], [0, 1, 1]]), [Fraction(2), Fraction(2)])
+    assert cone_interior_membership(I2, [Fraction(1), Fraction(1)]).feasible
+    assert not cone_interior_membership(I2, [Fraction(1), Fraction(0)]).feasible
+    assert cone_interior_membership(M([[1, 0, 1], [0, 1, 1]]), [Fraction(2), Fraction(2)]).feasible
 
 
 def test_univariate_sign_variations():
@@ -113,27 +108,3 @@ def test_univariate_reduction():
     assert holds
     assert univariate_sign_variations([Fraction(-4)] + list(A.entries[0])) <= 1
 
-
-def test_at_most_one_solution():
-    I2 = M.identity(2)
-    assert not check_at_most_one_solution(M([[1, -1]]), I2)  # m < n
-    assert check_at_most_one_solution(I2, I2)
-    A = M([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-    B = M([[1, 0], [0, 1], [1, 1]])
-    assert check_at_most_one_solution(A, B)  # m > n via sign-set intersection
-    with pytest.raises(TooLarge):
-        wide = M([[1] * 17])
-        check_at_most_one_solution(M([[1] * 17, [2] + [1] * 16]), wide.transpose())
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_at_most_one_matches_bnd_square(rnd):
-    n = rnd.randint(1, 2)
-    r = rnd.randint(n, 3)
-    A = M([[Fraction(rnd.randint(-3, 3)) for _ in range(r)] for _ in range(n)])
-    B = M([[Fraction(rnd.randint(-3, 3)) for _ in range(n)] for _ in range(r)])
-    if rank(A) < n or rank(B) < n:
-        return
-    holds, _ = check_bnd(A, B)
-    assert check_at_most_one_solution(A, B) == holds

@@ -334,7 +334,7 @@ def test_counterexample_construction_direct():
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_pair_y_block_matches_joint_lp(rnd):
-    # for mu in sigma(ker A) the y block alone gives the joint LP's status and
+    # for mu in sigma(ker A) the y block alone gives the joint LP's verdict and
     # the y half of its witness, Fraction for Fraction
     m = rnd.randint(1, 3)
     r, n = rnd.randint(m, 5), rnd.randint(1, 4)
@@ -348,7 +348,7 @@ def test_pair_y_block_matches_joint_lp(rnd):
     tau = SignVector([rnd.randint(-1, 1) for _ in range(n)])
     joint = feasible_sign_pair(A, B, mu, tau)
     alone = engine._pair_y(B, mu, tau)
-    assert alone.status == joint.status
+    assert alone.feasible == joint.feasible
     assert alone.witness == (joint.witness[r:] if joint.feasible else None)
 
 

@@ -14,7 +14,7 @@ from mpmath import mp
 from signject import engine, feasibility, oracle
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
 from signject.errors import InternalError, TooLarge
-from signject.feasibility import FEASIBLE, FeasibilityResult, StrictSystem, solve_strict
+from signject.feasibility import FeasibilityResult, StrictSystem, solve_strict
 from signject.oracle import (
     SearchReport,
     brute_force_sign_set,
@@ -257,7 +257,7 @@ def test_wrong_lp_witness_raises(monkeypatch):
         res = solve_strict(system)
         if not res.feasible:
             return res
-        return FeasibilityResult(FEASIBLE, witness=(2 * res.witness[0],) + tuple(res.witness[1:]))
+        return FeasibilityResult(True, witness=(2 * res.witness[0],) + tuple(res.witness[1:]))
 
     monkeypatch.setattr(feasibility, "solve_strict", doubled_first)
     with pytest.raises(InternalError):

@@ -1,15 +1,18 @@
 """Static checks of the package source, made with ast (no linter needed).
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
-instead; every import is used; no module but ``cli.py`` touches the
-environment; and no function but ``cli.main`` writes output.
+instead; every import is used; every function and class has a caller; no
+module but ``cli.py`` touches the environment; and no function but
+``cli.main`` writes output.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "signject").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted((TESTS.parent / "src" / "signject").glob("*.py"))
 
 
 def _tree(path):
@@ -41,6 +44,30 @@ def test_no_unused_imports(path):
             used |= {elt.value for elt in node.value.elts}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+def _named(node):
+    """How often each name is read in node, as a variable or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_has_a_caller():
+    """Each top-level function and class is named in the package outside its
+    own definition, exported in ``__all__`` or used by the acceptance criteria.
+    oracle.py is exempt: its functions are the tests' reference implementations."""
+    trees = {path.name: _tree(path) for path in MODULES}
+    named = sum(map(_named, trees.values()), Counter())
+    exported = next(ast.literal_eval(node.value) for node in trees["__init__.py"].body
+                    if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    criteria = _named(_tree(TESTS / "test_acceptance.py"))
+    uncalled = [f"{name}:{node.lineno} {node.name}"
+                for name, tree in trees.items() if name != "oracle.py"
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and named[node.name] == _named(node)[node.name]
+                and node.name not in exported and node.name not in criteria]
+    assert uncalled == [], f"defined but never called: {uncalled}"
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
