@@ -69,9 +69,23 @@ def _load_matrix(path: str) -> RationalMatrix:
 
 
 def _parse_signs(text: str):
+    """The nonzero sign vectors of a sign file, all of one length; an error names its line."""
+    vectors = []
     # lines end at "\n" only; str.splitlines would also end them at \v, \f and \x1c-\x1e
-    lines = (raw.strip() for raw in text.split("\n"))
-    return tuple(SignVector.parse(ln) for ln in lines if ln and not ln.startswith("#"))
+    for i, raw in enumerate(text.split("\n"), 1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            v = SignVector.parse(ln)
+        except ParseError as exc:
+            raise ParseError(str(exc), line=i) from exc
+        if not any(v):
+            raise ParseError(f"sign vectors must be nonzero: {ln!r}", line=i)
+        if vectors and len(v) != len(vectors[0]):
+            raise ParseError(f"sign vector {ln!r} has length {len(v)}, the first has {len(vectors[0])}", line=i)
+        vectors.append(v)
+    return tuple(vectors)
 
 
 def _load_network(args) -> crn.ReactionNetwork:

@@ -202,20 +202,12 @@ def preclude_multistationarity(
     N, V = stoichiometry(net)
     S = Subspace(C=N)
     verdict = check_injectivity(N, V, S, prec)
-    if verdict.injective:
-        return PreclusionVerdict(
-            precluded=True,
-            injectivity=verdict,
-            steady_state_pair=None,
-            note="injective on every compatibility class for all kappa; multistationarity is impossible",
-            warnings=net.warnings,
-        )
-    pair = None
-    exhausted = False
-    integral = all(v.denominator == 1 for row in V.entries for v in row)
-    if integral:
+    pair, exhausted = None, False
+    if not verdict.injective and all(v.denominator == 1 for row in V.entries for v in row):
         pair, exhausted = _steady_state_pair(N, V, S)
-    if pair is not None:
+    if verdict.injective:
+        note = "injective on every compatibility class for all kappa; multistationarity is impossible"
+    elif pair is not None:
         note = "injectivity fails and an explicit pair of positive steady states in one compatibility class was found"
     elif exhausted:
         note = (
@@ -225,7 +217,7 @@ def preclude_multistationarity(
     else:
         note = "injectivity fails for some kappa; this does not by itself imply multistationarity, and no steady-state pair was found at desk scale"
     return PreclusionVerdict(
-        precluded=False,
+        precluded=verdict.injective,
         injectivity=verdict,
         steady_state_pair=pair,
         note=note,

@@ -13,7 +13,7 @@ importing this module, or deciding a verdict of "injective", does not load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -578,7 +578,7 @@ def _refuted(nogoods, B: RationalMatrix, signs) -> bool:
     return False
 
 
-def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
+def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
     """The exhaustive feasibility search over (mu, tau) pairs.
 
     Each pair with mu in sigma(ker A) is decided by its y block alone
@@ -593,7 +593,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
     r = A.cols
     T = tuple(sorted(set(T)))
     if not T:
-        return Verdict(True, "sign_search", certificate={"empty_condition": True}, warnings=tuple(warnings))
+        return Verdict(True, "sign_search", certificate={"empty_condition": True})
 
     # mu = 0 arm: feasible iff ker(B) meets one of the requested orthants
     kerB = set(matroid_vectors(B))
@@ -602,7 +602,7 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
         tau = shared[0]
         y_hat = rational_point_with_sign(B, tau)
         cx = construct_counterexample(A, B, S, _zero_mu(r), tau, y_hat, prec)
-        return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
+        return Verdict(False, "sign_search", counterexample=cx)
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
     nogoods = []
@@ -619,14 +619,14 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, warnings, prec):
             result = _pair_y(B, mu, tau)
             if result.feasible:
                 cx = construct_counterexample(A, B, S, mu, tau, result.witness, prec)
-                return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
+                return Verdict(False, "sign_search", counterexample=cx)
             nogoods.append(_nogood(result.certificate, signs))
     certificate = {
         "pairs_tested": tested,
         "mu_candidates": [str(m) for m in mus],
         "tau_candidates": [str(t) for t in T],
     }
-    return Verdict(True, "sign_search", certificate=certificate, warnings=tuple(warnings))
+    return Verdict(True, "sign_search", certificate=certificate)
 
 
 def check_injectivity(
@@ -637,89 +637,71 @@ def check_injectivity(
     prec is the working precision, in bits, at which a counterexample is
     rendered and re-verified; the verdict itself is exact.
     """
-    m, r = A.rows, A.cols
+    r = A.cols
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A")
     n = B.cols
-    warnings = []
+    warnings = ()
     if len({B.row(j) for j in range(r)}) < r:
-        warnings.append("duplicate rows in B: the coset interpretation of S may weaken")
+        warnings = ("duplicate rows in B: the coset interpretation of S may weaken",)
 
     if isinstance(S, FullSpace):
-        return _check_full_space(A, B, warnings, prec)
-    if isinstance(S, OrthantUnion):
+        verdict = _check_full_space(A, B, S, prec)
+    elif isinstance(S, OrthantUnion):
         if any(len(t) != n for t in S.T):
-            raise ShapeMismatch("orthant sign vectors must have length n")
-        return _sign_search(A, B, S.T, S, warnings, prec)
-    if isinstance(S, Subspace):
+            raise ShapeMismatch(f"orthant sign vectors must have length n = {n}")
+        verdict = _sign_search(A, B, S.T, S, prec)
+    elif isinstance(S, Subspace):
         if S.ambient_dim != n:
             raise ShapeMismatch("subspace lives in the wrong ambient dimension")
         dim = S.dim()
         if dim == 0:
-            return Verdict(True, "minors", certificate={"empty_condition": True}, warnings=tuple(warnings))
-        Aprime = _pivot_rows(A)
-        if dim != Aprime.rows:
-            return _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings, prec)
-        return _check_subspace_minors(A, Aprime, B, S, warnings, prec)
-    raise TypeError(f"unknown subset specification {type(S).__name__}")
+            verdict = Verdict(True, "minors", certificate={"empty_condition": True})
+        elif dim != (Aprime := _pivot_rows(A)).rows:
+            verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, prec)
+        else:
+            verdict = _check_subspace_minors(A, Aprime, B, S, prec)
+    else:
+        raise TypeError(f"unknown subset specification {type(S).__name__}")
+    # a route's verdict carries only its own warnings; the duplicate-rows one goes first
+    return replace(verdict, warnings=warnings + verdict.warnings)
 
 
-def _check_full_space(A, B, warnings, prec):
+def _check_full_space(A, B, S, prec):
+    """S = R^n. A counterexample comes from the smallest rho in sigma(ker A) ∩
+    sigma(im B): rho is in sigma(ker A), so the pair (rho, tau) is decided by its
+    y block alone (``_pair_y``), with the witness of the joint LP's y half."""
     m, r = A.rows, A.cols
     n = B.cols
-    S = FullSpace()
     if rank(B) < n:
         # ker(B) nontrivial: the monomial map itself is not injective
         kv = kernel_basis(B).column(0)
         cx = construct_counterexample(A, B, S, _zero_mu(r), sigma(kv), kv, prec)
-        return Verdict(
-            False,
-            "full_space",
-            certificate=None,
-            counterexample=cx,
-            warnings=tuple(warnings),
-        )
+        return Verdict(False, "full_space", counterexample=cx)
+    ledger = None
     if m == n:
         holds, ledger = check_minors(A, B, n)
         if holds:
-            return Verdict(True, "minors", certificate=ledger, warnings=tuple(warnings))
-        cx = _full_space_counterexample(A, B, common_sign_vectors(A, B), S, prec)
-        return Verdict(False, "minors", certificate=ledger, counterexample=cx, warnings=tuple(warnings))
+            return Verdict(True, "minors", certificate=ledger)
     shared = common_sign_vectors(A, B)
     if not shared:
-        return Verdict(
-            True,
-            "sign_search",
-            certificate={"kernel_image_intersection": "trivial"},
-            warnings=tuple(warnings),
-        )
-    cx = _full_space_counterexample(A, B, shared, S, prec)
-    return Verdict(False, "sign_search", counterexample=cx, warnings=tuple(warnings))
-
-
-def _full_space_counterexample(A, B, shared, S, prec):
-    """A counterexample from the smallest rho in sigma(ker A) ∩ sigma(im B).
-
-    rho is in sigma(ker A), so the pair (rho, tau) is decided by its y block
-    alone (``_pair_y``), with the witness of the joint LP's y half.
-    """
-    if not shared:
-        raise InternalError("minors route failed but sign sets do not intersect")
+        if m == n:
+            raise InternalError("minors route failed but sign sets do not intersect")
+        return Verdict(True, "sign_search", certificate={"kernel_image_intersection": "trivial"})
     rho = shared[0]
     # rho in sigma(im B): recover a y with sigma(By) = rho, then pair it with rho
-    res = solve_strict(
-        StrictSystem(nvars=B.cols, linear_sign_rows=B, linear_signs=rho)
-    )
+    res = solve_strict(StrictSystem(nvars=n, linear_sign_rows=B, linear_signs=rho))
     if not res.feasible:
         raise VerificationFailed("no y with sigma(By) = rho, though rho is in sigma(im B)")
     tau = sigma(res.witness)
     pair = _pair_y(B, rho, tau)
     if not pair.feasible:
         raise VerificationFailed("the sign pair (rho, sigma(y)) is infeasible")
-    return construct_counterexample(A, B, S, rho, tau, pair.witness, prec)
+    cx = construct_counterexample(A, B, S, rho, tau, pair.witness, prec)
+    return Verdict(False, "minors" if m == n else "sign_search", certificate=ledger, counterexample=cx)
 
 
-def _check_subspace_minors(A, Aprime, B, S, warnings, prec):
+def _check_subspace_minors(A, Aprime, B, S, prec):
     """dim S = rank A: the minors and det-polynomial routes decide, and a failed
     verdict takes its counterexample from the sign search.
 
@@ -734,16 +716,13 @@ def _check_subspace_minors(A, Aprime, B, S, warnings, prec):
         raise InternalError("the (min) and (det) routes disagree; internal bug")
     certificate = {"minors": ledger, "det_poly_sign_count": len(poly.signs())}
     if holds:
-        return Verdict(True, "minors", certificate=certificate, warnings=tuple(warnings))
+        return Verdict(True, "minors", certificate=certificate)
     try:
-        verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, warnings, prec)
+        verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, prec)
     except SearchBudgetExceeded:
-        warnings.append(
+        return Verdict(False, "minors", certificate=certificate, warnings=(
             f"no counterexample: the (mu, tau) sign search stopped at its {SIGN_SEARCH_LP_BUDGET:,}-LP "
-            "budget after the minors route had decided"
-        )
-        return Verdict(False, "minors", certificate=certificate, warnings=tuple(warnings))
+            "budget after the minors route had decided",))
     if verdict.injective:
         raise InternalError("minor route failed but sign search found no feasible pair")
-    return Verdict(False, "minors", certificate=certificate, counterexample=verdict.counterexample,
-                   warnings=tuple(warnings))
+    return replace(verdict, method="minors", certificate=certificate)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -s` (or scripts/run_acceptance.py)
-to see the per-criterion report lines.
+Run with `pytest tests/test_acceptance.py -s` to see the per-criterion report
+lines.
 """
 import json
 import random

@@ -258,11 +258,14 @@ NO_SUCH_FILE = "[Errno 2] No such file or directory"
      "bad matrix file latin1.json: 'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
     (["--output", "missing/out.json", "chirotope", "--A", "I.json"],
      f"cannot write missing/out.json: {NO_SUCH_FILE}: 'missing/out.json'"),
+    (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "T3.txt"],
+     "orthant sign vectors must have length n = 2"),
     *[(["descartes", "cone", "--A", "I.json", "--y", y], f"bad rational vector {y!r}: {reason}")
       for y, reason in (("1,x", "not an exact rational: 'x'"), ("", "not an exact rational: ''"),
                         ("1/0", "zero denominator: '1/0'"))],
 ], ids=["matrix", "sign-file", "network", "kinetic-orders", "malformed-matrix", "malformed-kinetic-orders",
-        "not-utf8", "unwritable-output", "vector-letter", "vector-empty", "vector-zero-denominator"])
+        "not-utf8", "unwritable-output", "sign-length-not-n", "vector-letter", "vector-empty",
+        "vector-zero-denominator"])
 def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
     """Each unreadable or malformed input: exit 2, no JSON, and one stderr line."""
     monkeypatch.chdir(tmp_path)
@@ -270,6 +273,7 @@ def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "latin1.json").write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}')
     (tmp_path / "net.txt").write_text("k1: A -> B\nk2: B -> A\n")
+    (tmp_path / "T3.txt").write_text("+++\n-+-\n")  # vectors of one length, but not B's n = 2
     code, payload, err = run_cli(argv, capsys)
     assert (code, payload, err) == (2, None, f"error: {line}\n")
 
@@ -290,16 +294,18 @@ def test_input_error_lines(tmp_path, capsys, monkeypatch, argv, line):
     (["crn", "preclude", "net.txt", "--kinetic-orders", "in.json"], '{"k1": {"A": "1/0"}}',
      "bad kinetic-order file in.json: zero denominator: '1/0'"),
     (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\nx+\n",
-     "bad sign file in.txt: invalid sign character in 'x+'"),
+     "bad sign file in.txt: invalid sign character in 'x+' (line 2)"),
     (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\n00\n",
-     "bad sign file in.txt: OrthantUnion sign vectors must be nonzero"),
+     "bad sign file in.txt: sign vectors must be nonzero: '00' (line 2)"),
+    (["injectivity", "--A", "I.json", "--B", "I.json", "--S-signs", "in.txt"], "++\n+++\n",
+     "bad sign file in.txt: sign vector '+++' has length 3, the first has 2 (line 2)"),
     (["crn", "preclude", "in.txt"], "k1 A -> B\n",
      "bad network file in.txt: expected 'label: reactant -> product' (line 1, column 1)"),
     (["crn", "preclude", "in.txt"], "k1: 1/0 A -> B\n",
      "bad network file in.txt: zero denominator: '1/0' (line 1, column 5)"),
 ], ids=["matrix-true", "matrix-null", "matrix-float", "matrix-rows", "matrix-zero-denominator", "kinetic-list",
         "kinetic-string", "kinetic-row-number", "kinetic-zero-denominator", "sign-file", "sign-file-zero-vector",
-        "network-file", "network-zero-denominator"])
+        "sign-file-mixed-length", "network-file", "network-zero-denominator"])
 def test_bad_file_lines(tmp_path, capsys, monkeypatch, argv, text, line):
     """A file that reads but does not parse: exit 2, no JSON, one line naming the file."""
     monkeypatch.chdir(tmp_path)

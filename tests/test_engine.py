@@ -400,7 +400,7 @@ def _sweep(A, B, T, budget, nogoods):
         patch.setattr(engine, "construct_counterexample",
                       lambda *args: witnesses.append(args[3:6]) or construct(*args))
         try:
-            outcome = engine._sign_search(A, B, T, OrthantUnion(T), [], 256).to_json_dict()
+            outcome = engine._sign_search(A, B, T, OrthantUnion(T), 256).to_json_dict()
         except SearchBudgetExceeded as exc:
             outcome = str(exc)
     return outcome, len(pairs), len(lps), witnesses

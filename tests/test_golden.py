@@ -415,8 +415,8 @@ def sign_search_outputs(workdir: Path):
 def full_space_cases():
     """(name, files) of 40 seeded ``--full-space`` instances with integer A and
     fractional B of full column rank, so that every one that is not injective
-    takes its counterexample from ``_full_space_counterexample``: its pair LP's
-    witness, which differs from the first LP's in many of them."""
+    takes its counterexample from ``_check_full_space``: its pair LP's witness,
+    which differs from the first LP's in many of them."""
     rnd = random.Random(f"full-space-{ROUTE_SEED}")
     cases = []
     while len(cases) < 40:

@@ -2,8 +2,8 @@
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
 instead; every import is used; every function and class has a caller; no
-module but ``cli.py`` touches the environment; and no function but
-``cli.main`` writes output.
+module but ``cli.py`` touches the environment; no function but ``cli.main``
+writes output; and no function writes into its caller's arguments.
 """
 import ast
 from collections import Counter
@@ -114,3 +114,36 @@ def test_only_cli_main_writes_output(path):
         ):
             lines.append(node.lineno)
     assert lines == [], f"{path.name}: output written outside cli.main at lines {lines}"
+
+
+MUTATING_METHODS = {"append", "extend", "insert", "pop", "clear", "update", "add", "discard", "remove", "sort",
+                    "reverse"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_mutates_its_arguments(path):
+    """No function calls a mutating method on a parameter or assigns to a
+    subscript of one, so a function's results come back in its return value.
+    A parameter the function re-binds first (``grid = list(grid)``) is its own copy."""
+    lines = []
+    for func in ast.walk(_tree(path)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = func.args
+        params = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+        rebound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in params:
+                rebound[node.id] = min(rebound.get(node.id, node.lineno), node.lineno)
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATING_METHODS):
+                target = node.func.value
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            else:
+                continue
+            if (isinstance(target, ast.Name) and target.id in params
+                    and rebound.get(target.id, node.lineno) >= node.lineno):
+                lines.append(node.lineno)
+    assert lines == [], f"{path.name}: a parameter mutated at lines {sorted(set(lines))}"
