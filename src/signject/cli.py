@@ -11,10 +11,12 @@ check failed.
 (``func``) and its JSON command name (``command``). A handler reads its inputs
 through ``_load``, which names the file in any error (``cannot read ...`` or
 ``bad <kind> file ...``), runs the decision and returns ``(holds, body,
-summary)``; it writes nothing.
+summary)``; it writes nothing. The body holds the library's values as they
+are: result dataclasses, exact ``Fraction``s, ``SignVector``s and tuples.
 ``main`` alone writes output: the JSON (``schema_version`` and ``command``
-ahead of ``body``), the summary, and exit 0 or 3 from ``holds``; or, for an
-error, one line on stderr and exit 2, 4 or 5.
+ahead of the body, which ``_json_value`` renders), the summary, and exit 0 or
+3 from ``holds``; or, for an error, one line on stderr and exit 2, 4 or 5.
+``_json_value`` is the one place where a result becomes text.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import crn, descartes
@@ -112,6 +116,30 @@ def _subset_from_args(args):
     return _load("sign", args.S_signs, lambda text: OrthantUnion(_parse_signs(text)))
 
 
+def _json_value(value):
+    """value as JSON data: a dataclass as a dict of its fields in declaration
+    order, a Fraction or SignVector as its string, a tuple or list as a list,
+    a dict with its values rendered, and any other value as it is."""
+    if value is None or isinstance(value, (str, int)):
+        return value
+    # a SignVector is a tuple: it is matched before tuples are
+    if isinstance(value, (Fraction, SignVector)):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _polynomial(poly):
+    """A SymbolicDetPoly's JSON form: its terms as (I, J, coefficient) records in (I, J) order."""
+    return {"s": poly.s,
+            "terms": [{"I": I, "J": J, "coefficient": c} for (I, J), c in sorted(poly.terms.items())]}
+
+
 # -- one handler per leaf command: each returns (holds, body, summary) ---------
 
 
@@ -119,7 +147,7 @@ def _injectivity(args):
     A = _load_matrix(args.A)
     B = _load_matrix(args.B)
     verdict = check_injectivity(A, B, _subset_from_args(args), args.precision)
-    return (verdict.injective, verdict.to_json_dict(),
+    return (verdict.injective, verdict,
             f"injectivity {'HOLDS' if verdict.injective else 'FAILS'} (method: {verdict.method})")
 
 
@@ -134,23 +162,23 @@ def _gamma_det(args):
     B = _load_matrix(args.B)
     poly = gamma_det_poly(Aprime, B, _load_matrix(args.Z) if args.Z else None)
     holds = det_condition(poly)
-    return (holds, {"uniform_sign": holds, "polynomial": poly.to_json_dict()},
+    return (holds, {"uniform_sign": holds, "polynomial": _polynomial(poly)},
             f"determinant polynomial has {'a uniform coefficient sign' if holds else 'mixed or no signs'}")
 
 
 def _chirotope(args):
     chi = chirotope(_load_matrix(args.A))
     return (True, {"rank": chi.rank, "ground_size": chi.ground_size,
-                   "signs": [{"subset": list(k), "sign": v} for k, v in sorted(chi.signs.items())]},
+                   "signs": [{"subset": k, "sign": v} for k, v in sorted(chi.signs.items())]},
             "chirotope enumerated")
 
 
 def _cocircuits(args):
-    return True, {"cocircuits": [str(c) for c in cocircuits(_load_matrix(args.A))]}, "cocircuits enumerated"
+    return True, {"cocircuits": cocircuits(_load_matrix(args.A))}, "cocircuits enumerated"
 
 
 def _covectors(args):
-    return True, {"covectors": [str(c) for c in covectors(_load_matrix(args.A))]}, "covectors enumerated"
+    return True, {"covectors": covectors(_load_matrix(args.A))}, "covectors enumerated"
 
 
 def _descartes_bnd(args):
@@ -161,7 +189,8 @@ def _descartes_bnd(args):
 
 def _descartes_ex(args):
     report = descartes.check_ex(_load_matrix(args.A), _load_matrix(args.B))
-    return (report.ex_holds, report.to_json_dict(),
+    # the fields in declaration order, then the cone query, which ``descartes cone`` answers
+    return (report.ex_holds, {**vars(report), "cone_membership": None},
             f"exactly-one-solution hypothesis {'HOLDS' if report.ex_holds else 'FAILS'}")
 
 
@@ -174,7 +203,7 @@ def _descartes_cone(args):
 
 def _crn_preclude(args):
     verdict = crn.preclude_multistationarity(_load_network(args), args.precision)
-    return (verdict.precluded, verdict.to_json_dict(),
+    return (verdict.precluded, verdict,
             f"multistationarity {'PRECLUDED' if verdict.precluded else 'NOT precluded'}: {verdict.note}")
 
 
@@ -186,7 +215,7 @@ def _crn_special(args):
     # sigma(im N) share no nonzero sign vector, so special steady states are unique
     witness = crn.multistationarity_witness(M, Subspace(C=N), args.assume_coset)
     unique = witness is None
-    return (unique, {"unique": unique, "witness": None if unique else witness.to_json_dict()},
+    return (unique, {"unique": unique, "witness": witness},
             "at most one special steady state per compatibility class" if unique
             else "multiple special steady states possible (witness attached)")
 
@@ -198,7 +227,7 @@ def _oracle_sign_set(args):
     from . import oracle
 
     vectors = oracle.brute_force_sign_set(_load_matrix(args.M), args.mode)
-    return True, {"mode": args.mode, "vectors": [str(v) for v in vectors]}, f"{len(vectors)} sign vectors"
+    return True, {"mode": args.mode, "vectors": vectors}, f"{len(vectors)} sign vectors"
 
 
 def _oracle_gamma(args):
@@ -207,7 +236,7 @@ def _oracle_gamma(args):
     Aprime = _load_matrix(args.Aprime)
     B = _load_matrix(args.B)
     poly = oracle.naive_symbolic_gamma_det(Aprime, B, _load_matrix(args.Z) if args.Z else None)
-    return True, {"polynomial": poly.to_json_dict()}, "expanded"
+    return True, {"polynomial": _polynomial(poly)}, "expanded"
 
 
 def _oracle_sample(args):
@@ -217,8 +246,7 @@ def _oracle_sample(args):
     B = _load_matrix(args.B)
     report = oracle.sampled_injectivity_search(A, B, samples=args.samples, seed=args.seed,
                                                prec=args.precision)
-    violations = [{"kappa": [str(v) for v in k], "x": [str(v) for v in x], "y": [str(v) for v in y]}
-                  for k, x, y in report.violations]
+    violations = [{"kappa": k, "x": x, "y": y} for k, x, y in report.violations]
     return (not report.found_violation,
             {"samples": report.samples, "seed": report.seed, "candidates": report.candidates,
              "violations": violations},
@@ -332,7 +360,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ParseError("--jobs must be at least 1")
         holds, body, summary = args.func(args)
-        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **body}, indent=2) + "\n"
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **_json_value(body)}
+        text = json.dumps(payload, indent=2) + "\n"
         if args.output:
             try:
                 with open(args.output, "w") as fh:

@@ -182,15 +182,6 @@ class PreclusionVerdict:
     note: str
     warnings: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "precluded": self.precluded,
-            "injectivity": self.injectivity.to_json_dict(),
-            "steady_state_pair": self.steady_state_pair,
-            "note": self.note,
-            "warnings": list(self.warnings),
-        }
-
 
 def preclude_multistationarity(
     net: ReactionNetwork, prec: int = DEFAULT_PRECISION_BITS
@@ -231,7 +222,8 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     x ranges over a small positive grid, y = x + z over integer combinations of
     a basis of im(N). Both steady-state conditions are linear in kappa, so each
     candidate reduces to one exact feasibility question. Returns (pair or None,
-    whether the search stopped at STEADY_STATE_LP_BUDGET candidates).
+    whether the search stopped at STEADY_STATE_LP_BUDGET candidates); the
+    pair's kappa, x and y are tuples of Fractions.
 
     y > 0 is screened on integers over the common denominator d of the grid
     and the basis. The monomial rows are built from those integers, by
@@ -285,9 +277,9 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
             if any(sum(map(mul, row, kappa)) != 0 for row in rows):
                 raise VerificationFailed("kappa does not make the pair steady states")
             return {
-                "kappa": [str(k) for k in kappa],
-                "x": [str(v) for v in x],
-                "y": [str(Fraction(v, d)) for v in Y],
+                "kappa": kappa,
+                "x": x,
+                "y": tuple(Fraction(v, d) for v in Y),
                 "residual": "0 (exact rational steady-state equations)",
             }, False
     return None, False
@@ -359,19 +351,9 @@ class SpecialWitness:
     rho: SignVector
     v: tuple  # rational, in ker M
     z: tuple  # rational, in S, equal to x - y
-    x_numeric: tuple  # 50-digit decimal strings
-    y_numeric: tuple
+    x: tuple  # 50-digit decimal strings
+    y: tuple
     assume_coset: bool
-
-    def to_json_dict(self):
-        return {
-            "rho": str(self.rho),
-            "v": [str(a) for a in self.v],
-            "z": [str(a) for a in self.z],
-            "x": list(self.x_numeric),
-            "y": list(self.y_numeric),
-            "assume_coset": self.assume_coset,
-        }
 
 
 def multistationarity_witness(
@@ -405,7 +387,7 @@ def multistationarity_witness(
             rho=rho,
             v=v,
             z=z,
-            x_numeric=tuple(mp.nstr(a, NUMERIC_DIGITS) for a in x_num),
-            y_numeric=tuple(mp.nstr(a, NUMERIC_DIGITS) for a in y_num),
+            x=tuple(mp.nstr(a, NUMERIC_DIGITS) for a in x_num),
+            y=tuple(mp.nstr(a, NUMERIC_DIGITS) for a in y_num),
             assume_coset=assume_coset,
         )

@@ -33,20 +33,6 @@ class DescartesReport:
         if self.ex_holds and not self.bnd_holds:
             raise InternalError("(ex) holds but (bnd) does not; internal bug")
 
-    def to_json_dict(self):
-        return {
-            "bnd_holds": self.bnd_holds,
-            "ex_holds": self.ex_holds,
-            "halfspace_witness": None
-            if self.halfspace_witness is None
-            else [str(v) for v in self.halfspace_witness],
-            "matroid_equal": self.matroid_equal,
-            "conflicting_J": None
-            if self.conflicting_J is None
-            else [list(self.conflicting_J[0]), list(self.conflicting_J[1])],
-            "cone_membership": None,
-        }
-
 
 def _require_shapes(A: RationalMatrix, B: RationalMatrix):
     n, r = A.rows, A.cols
@@ -70,7 +56,7 @@ def check_bnd(A: RationalMatrix, B: RationalMatrix):
     conflict = minors["conflict"]
     return holds, {
         "common_sign": minors["common_sign"],
-        "conflicting_J": None if conflict is None else [conflict[k]["J"] for k in ("first", "second")],
+        "conflicting_J": None if conflict is None else (conflict["first"]["J"], conflict["second"]["J"]),
     }
 
 

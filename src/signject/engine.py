@@ -85,8 +85,6 @@ class Subspace:
         C = self._image
         if C.cols == n:
             return RationalMatrix([], 0, n)
-        if C.cols == 0:
-            return RationalMatrix.identity(n)
         return gale_dual(C)
 
     def dim(self) -> int:
@@ -120,6 +118,14 @@ class OrthantUnion:
         object.__setattr__(self, "T", T)
 
 
+def check_ambient_dim(S, n: int):
+    """Raise ShapeMismatch unless S, a Subspace or an OrthantUnion, lives in R^n."""
+    if isinstance(S, Subspace) and S.ambient_dim != n:
+        raise ShapeMismatch("subspace lives in the wrong ambient dimension")
+    if isinstance(S, OrthantUnion) and any(len(t) != n for t in S.T):
+        raise ShapeMismatch(f"orthant sign vectors must have length n = {n}")
+
+
 # -- symbolic determinant -----------------------------------------------------
 
 
@@ -133,14 +139,18 @@ class SymbolicDetPoly:
     def signs(self):
         return {sign_of(c) for c in self.terms.values()}
 
-    def to_json_dict(self):
-        return {
-            "s": self.s,
-            "terms": [
-                {"I": list(I), "J": list(J), "coefficient": str(c)}
-                for (I, J), c in sorted(self.terms.items())
-            ],
-        }
+
+def border_block(Z: Optional[RationalMatrix], s: int, n: int) -> Optional[RationalMatrix]:
+    """Z as the top block of the n x n bordered matrix over s rows of
+    A'_kappa B_lambda: None when Z is absent or has no rows, which needs s = n.
+    Raises ShapeMismatch for a Z that does not fit."""
+    if Z is None or Z.rows == 0:
+        if s != n:
+            raise ShapeMismatch("Z may be empty only when s = n")
+        return None
+    if Z.rows != n - s or Z.cols != n:
+        raise ShapeMismatch(f"Z must be {n - s} x {n}")
+    return Z
 
 
 def gamma_det_poly(
@@ -151,12 +161,7 @@ def gamma_det_poly(
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A'")
     n = B.cols
-    if Z is None or Z.rows == 0:
-        if s != n:
-            raise ShapeMismatch("Z may be empty only when s = n")
-        Z = None
-    elif Z.rows != n - s or Z.cols != n:
-        raise ShapeMismatch(f"Z must be {n - s} x {n}")
+    Z = border_block(Z, s, n)
     b_rows, b_scales = integer_rows(B)
     terms = {}
     full_s = list(range(s))
@@ -223,8 +228,9 @@ def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     """The paired-minor sign condition over all |I| = |J| = s.
 
     Returns (holds, ledger). The ledger records the first nonzero product
-    det(Atilde_{I,J}) det(B_{J,I}) in lexicographic (I, J) order and, on
-    failure, the first pair whose product has the other sign.
+    det(Atilde_{I,J}) det(B_{J,I}) in lexicographic (I, J) order, as the index
+    tuples I and J and the exact Fraction, and, on failure, the (I, J) of the
+    first pair whose product has the other sign.
 
     One fraction-free elimination of Atilde's integer rows (``integer_rows``,
     ``integer_rref``) gives its rank k, and the scan depends on it:
@@ -259,14 +265,10 @@ def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     ledger = {
         "s": s,
         "common_sign": common_sign,
-        "nonzero_witness": None
-        if witness is None
-        else {"I": list(witness[0]), "J": list(witness[1]), "product": str(witness[2])},
-        "conflict": None
-        if conflict is None
-        else {
-            "first": {"I": list(conflict[0][0]), "J": list(conflict[0][1])},
-            "second": {"I": list(conflict[1][0]), "J": list(conflict[1][1])},
+        "nonzero_witness": None if witness is None else {"I": witness[0], "J": witness[1], "product": witness[2]},
+        "conflict": None if conflict is None else {
+            "first": {"I": conflict[0][0], "J": conflict[0][1]},
+            "second": {"I": conflict[1][0], "J": conflict[1][1]},
         },
     }
     return holds, ledger
@@ -284,16 +286,6 @@ class Counterexample:
     mu: SignVector
     tau: SignVector
 
-    def to_json_dict(self):
-        return {
-            "kappa": [str(k) for k in self.kappa],
-            "x": list(self.x),
-            "y": list(self.y),
-            "residual_bound": self.residual_bound,
-            "mu": str(self.mu),
-            "tau": str(self.tau),
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -302,15 +294,6 @@ class Verdict:
     certificate: Optional[dict] = None
     counterexample: Optional[Counterexample] = None
     warnings: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "injective": self.injective,
-            "method": self.method,
-            "certificate": self.certificate,
-            "counterexample": None if self.counterexample is None else self.counterexample.to_json_dict(),
-            "warnings": list(self.warnings),
-        }
 
 
 # -- numeric evaluation -------------------------------------------------------
@@ -623,8 +606,8 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
             nogoods.append(_nogood(result.certificate, signs))
     certificate = {
         "pairs_tested": tested,
-        "mu_candidates": [str(m) for m in mus],
-        "tau_candidates": [str(t) for t in T],
+        "mu_candidates": mus,
+        "tau_candidates": T,
     }
     return Verdict(True, "sign_search", certificate=certificate)
 
@@ -645,15 +628,12 @@ def check_injectivity(
     if len({B.row(j) for j in range(r)}) < r:
         warnings = ("duplicate rows in B: the coset interpretation of S may weaken",)
 
+    check_ambient_dim(S, n)
     if isinstance(S, FullSpace):
         verdict = _check_full_space(A, B, S, prec)
     elif isinstance(S, OrthantUnion):
-        if any(len(t) != n for t in S.T):
-            raise ShapeMismatch(f"orthant sign vectors must have length n = {n}")
         verdict = _sign_search(A, B, S.T, S, prec)
     elif isinstance(S, Subspace):
-        if S.ambient_dim != n:
-            raise ShapeMismatch("subspace lives in the wrong ambient dimension")
         dim = S.dim()
         if dim == 0:
             verdict = Verdict(True, "minors", certificate={"empty_condition": True})

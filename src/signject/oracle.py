@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
-from .engine import (DEFAULT_PRECISION_BITS, FullSpace, OrthantUnion, Subspace, SymbolicDetPoly,
-                     verify_counterexample)
+from .engine import (DEFAULT_PRECISION_BITS, FullSpace, OrthantUnion, Subspace, SymbolicDetPoly, border_block,
+                     check_ambient_dim, verify_counterexample)
 from .errors import ShapeMismatch, TooLarge, VerificationFailed
 from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
 from .ratmat import RationalMatrix, integer_monomial
@@ -130,11 +130,10 @@ def naive_symbolic_gamma_det(Aprime: RationalMatrix, B: RationalMatrix, Z):
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A'")
     n = B.cols
+    Z = border_block(Z, s, n)
     if n > COFACTOR_LIMIT:
         raise TooLarge(f"Leibniz expansion limited to order {COFACTOR_LIMIT}")
     top = 0 if Z is None else Z.rows
-    if top + s != n:
-        raise ValueError("blocks do not stack to a square matrix")
 
     def entry(i, col):
         # polynomial as dict: (kappa exponents tuple, lambda exponents tuple) -> coeff
@@ -230,6 +229,9 @@ def sampled_injectivity_search(
     counts only if engine.verify_counterexample accepts it: the relative
     residual, bounded in interval arithmetic at prec bits, is at most
     engine.RESIDUAL_TOLERANCE. Deterministic per seed.
+
+    As in check_injectivity, an S outside R^n and, unless S = {0}, an A with
+    no columns raise ShapeMismatch.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -239,6 +241,7 @@ def sampled_injectivity_search(
     m, r = A.rows, A.cols
     n = B.cols
     integral_B = all(v.denominator == 1 for row in B.entries for v in row)
+    check_ambient_dim(S, n)
 
     # Every draw is p / d with d in {1, 2, 3, 4}, so its numerator over 12 is
     # an integer; samples are integer vectors over the common denominator q.
@@ -257,6 +260,8 @@ def sampled_injectivity_search(
         orthants = S.T
     else:
         raise TypeError("unsupported subset specification")
+    if not r:
+        raise ShapeMismatch("the ground set is empty: A has no columns, so kappa has no coordinate")
     q = 12 * scale
 
     def draw_over_12():

@@ -212,6 +212,16 @@ def test_oracle_rejects_mismatched_shapes(tmp_path, capsys, monkeypatch, argv, m
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["gamma-det"], ["oracle", "gamma"]], ids=["gamma-det", "oracle-gamma"])
+@pytest.mark.parametrize("Z", [[[1]], [[1, 2, 3]]], ids=["1x1", "1x3"])
+def test_gamma_rejects_a_misshapen_Z(tmp_path, capsys, command, Z):
+    """A' 1 x 2 and B 2 x 2 need a 1 x 2 Z: both commands exit 2 on any other."""
+    argv = [*command, "--Aprime", write(tmp_path, "A.json", M([[1, -1]])),
+            "--B", write(tmp_path, "B.json", M.identity(2)), "--Z", write(tmp_path, "Z.json", M(Z))]
+    code, payload, err = run_cli(argv, capsys)
+    assert (code, payload, err) == (2, None, "error: Z must be 1 x 2\n")
+
+
 @pytest.mark.parametrize("command, body", [("covectors", ["00"]), ("cocircuits", [])])
 def test_rank_zero_configuration(tmp_path, capsys, command, body):
     """A 0 x 2 configuration has rank 0: no cocircuit, and the zero covector only."""
@@ -326,8 +336,10 @@ def test_bad_file_lines(tmp_path, capsys, monkeypatch, argv, text, line):
     *[(["injectivity", "--A", "A.json", "--B", "B.json", *subset], {"A.json": (1, 0), "B.json": (0, 1)},
        "A has no columns, so mu = 0 has no coordinate")
       for subset in (["--full-space"], ["--S-signs", "T.txt"], ["--S-image", "C.json"])],
+    (["oracle", "sample", "--A", "A.json", "--B", "B.json"], {"A.json": (0, 0), "B.json": (0, 0)},
+     "A has no columns, so kappa has no coordinate"),
 ], ids=["covectors", "sign-set-image", "sign-set-kernel",
-        "injectivity-full-space", "injectivity-signs", "injectivity-image"])
+        "injectivity-full-space", "injectivity-signs", "injectivity-image", "oracle-sample"])
 def test_empty_ground_set(tmp_path, capsys, monkeypatch, argv, matrices, line):
     """Sign vectors over no coordinate: exit 2 with a shape error, no JSON."""
     monkeypatch.chdir(tmp_path)

@@ -15,7 +15,7 @@ M = RationalMatrix
 def test_bnd_univariate_examples():
     B = M([[1], [2], [5]])
     holds, ledger = check_bnd(M([[1, -1, 1]]), B)
-    assert not holds and ledger["conflicting_J"] == [[0], [1]]
+    assert not holds and ledger["conflicting_J"] == ((0,), (1,))
     holds, _ = check_bnd(M([[1, 2, 3]]), B)
     assert holds
 

@@ -70,8 +70,8 @@ def test_check_minors_ledger():
     holds, ledger = check_minors(Atilde, B, 1)
     assert not holds
     assert ledger["conflict"] == {
-        "first": {"I": [0], "J": [0]},
-        "second": {"I": [1], "J": [1]},
+        "first": {"I": (0,), "J": (0,)},
+        "second": {"I": (1,), "J": (1,)},
     }
     holds, ledger = check_minors(M.identity(2), M.identity(2), 2)
     assert holds and ledger["common_sign"] == 1
@@ -90,13 +90,13 @@ def reference_minors(Atilde, B, s):
             if common_sign == 0:
                 common_sign, witness = sg, (I, J, product)
             elif sg != common_sign and conflict is None:
-                conflict = {"first": {"I": list(witness[0]), "J": list(witness[1])},
-                            "second": {"I": list(I), "J": list(J)}}
+                conflict = {"first": {"I": witness[0], "J": witness[1]},
+                            "second": {"I": I, "J": J}}
     ledger = {
         "s": s,
         "common_sign": common_sign,
         "nonzero_witness": None if witness is None else
-        {"I": list(witness[0]), "J": list(witness[1]), "product": str(witness[2])},
+        {"I": witness[0], "J": witness[1], "product": witness[2]},
         "conflict": conflict,
     }
     return common_sign != 0 and conflict is None, ledger
@@ -159,9 +159,11 @@ def test_subspace_routes_agree_on_worked_example():
 
 
 def test_zero_dimensional_subspace_vacuous():
-    v = check_injectivity(M.identity(2), M.identity(2), Subspace(Z=M.identity(2)))
-    assert v.injective
-    assert v.certificate == {"empty_condition": True}
+    for sub in (Subspace(Z=M.identity(2)), Subspace(C=M.zeros(2, 0))):
+        assert sub.dim() == 0 and sub.kernel_presentation() == M.identity(2)
+        v = check_injectivity(M.identity(2), M.identity(2), sub)
+        assert v.injective
+        assert v.certificate == {"empty_condition": True}
 
 
 def test_orthant_union():
@@ -400,7 +402,7 @@ def _sweep(A, B, T, budget, nogoods):
         patch.setattr(engine, "construct_counterexample",
                       lambda *args: witnesses.append(args[3:6]) or construct(*args))
         try:
-            outcome = engine._sign_search(A, B, T, OrthantUnion(T), 256).to_json_dict()
+            outcome = engine._sign_search(A, B, T, OrthantUnion(T), 256)
         except SearchBudgetExceeded as exc:
             outcome = str(exc)
     return outcome, len(pairs), len(lps), witnesses

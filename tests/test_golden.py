@@ -49,6 +49,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from signject import engine, ratmat
@@ -455,6 +456,18 @@ def test_golden_output(name, argv, files, expected_code, tmp_path, capsys):
     capsys.readouterr()
     assert code == expected_code
     assert data == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_goldens_match_the_schema():
+    """Every full-bytes golden validates against docs/output.schema.json, and
+    together they cover every command the schema names."""
+    schema = json.loads((GOLDEN.parent.parent / "docs" / "output.schema.json").read_text())
+    commands = set()
+    for name, *_ in CASES:
+        payload = json.loads((GOLDEN / f"{name}.json").read_bytes())
+        jsonschema.validate(payload, schema)
+        commands.add(payload["command"])
+    assert commands == set(schema["properties"]["command"]["enum"])
 
 
 @pytest.mark.parametrize("name", ["inj_image_minors_fail", "crn_preclude_edelstein", "minors_dual"])

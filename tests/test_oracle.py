@@ -13,7 +13,7 @@ from mpmath import mp
 
 from signject import engine, feasibility, oracle
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
-from signject.errors import InternalError, TooLarge
+from signject.errors import InternalError, ShapeMismatch, TooLarge
 from signject.feasibility import FeasibilityResult, StrictSystem, solve_strict
 from signject.oracle import (
     SearchReport,
@@ -85,6 +85,22 @@ def test_search_empty_subset():
         M.identity(2), M.identity(2), S=Subspace(Z=M.identity(2)), samples=50, seed=0
     )
     assert rep.candidates == 0 and not rep.found_violation
+
+
+@pytest.mark.parametrize("B", [M.identity(2), M([[Fraction(1, 2), 0], [0, 1]])], ids=["integral", "non-integral"])
+@pytest.mark.parametrize("subset, message", [
+    (Subspace(C=M([[1], [1], [1]])), "subspace lives in the wrong ambient dimension"),
+    (OrthantUnion((S("+"), S("-"))), "orthant sign vectors must have length n = 2"),
+], ids=["subspace", "orthants"])
+def test_search_rejects_a_subset_outside_R_n(B, subset, message):
+    """An S that does not live in R^n is a shape error, in both branches of the
+    search, with the message check_injectivity gives."""
+    A = M([[1, -1]])
+    for decide in (lambda: sampled_injectivity_search(A, B, S=subset, samples=20),
+                   lambda: check_injectivity(A, B, subset)):
+        with pytest.raises(ShapeMismatch) as caught:
+            decide()
+        assert str(caught.value) == message
 
 
 def test_search_rejects_negative_samples():

@@ -3,7 +3,8 @@
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
 instead; every import is used; every function and class has a caller; no
 module but ``cli.py`` touches the environment; no function but ``cli.main``
-writes output; and no function writes into its caller's arguments.
+writes output; no function writes into its caller's arguments; and no result
+class renders itself as JSON.
 """
 import ast
 from collections import Counter
@@ -147,3 +148,16 @@ def test_no_function_mutates_its_arguments(path):
                     and rebound.get(target.id, node.lineno) >= node.lineno):
                 lines.append(node.lineno)
     assert lines == [], f"{path.name}: a parameter mutated at lines {sorted(set(lines))}"
+
+
+def test_only_the_matrix_file_format_has_a_to_json_dict():
+    """Results keep exact values and the CLI renders them (``cli._json_value``),
+    so the one ``to_json_dict`` is RationalMatrix's: the matrix input format."""
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        owner = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for item in node.body}
+        found += [f"{path.name}:{owner.get(id(node), node.lineno)}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json_dict"]
+    assert found == ["ratmat.py:RationalMatrix"]
