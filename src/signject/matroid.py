@@ -3,10 +3,15 @@
 A configuration is an n x r rational matrix of rank n whose columns are the
 ground-set vectors. Cocircuits come from integer hyperplane normals (signed
 (n-1)-minors of the column-scaled configuration), and covectors are their
-composition closure. Sign sets stay (pos, neg) bitmask pairs up to the
-public functions, which build their sorted SignVector tuples once, at the end.
-The closure can be exponential in r, so ``covectors`` raises ``TooLarge`` when
-r exceeds ``GROUND_SET_GUARD``.
+composition closure. Every covector is a conformal composition of
+cocircuits, so the closure composes each covector only with the cocircuits
+conformal to it, tracked as bitmasks over cocircuit indices: its cost is the
+number of such pairs, not |covectors| x |cocircuits|. Sign sets stay
+(pos, neg) bitmask pairs up to the public functions, which build their sorted
+SignVector tuples once, at the end. The closure can be exponential in r
+(3^r covectors on r coordinate vectors), so it raises ``TooLarge`` when r
+exceeds ``GROUND_SET_GUARD`` or once it holds more than ``COVECTOR_BUDGET``
+covectors.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from .ratmat import RationalMatrix, column_basis, det, integer_det, integer_rows
 from .signs import SignVector, sign_of
 
 GROUND_SET_GUARD = 16
+COVECTOR_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -88,25 +94,62 @@ def covectors(A: RationalMatrix):
 def _covector_masks(A: RationalMatrix):
     """The covectors of the configuration as a set of (pos, neg) bitmask pairs.
 
-    u o v = (pos_u | pos_v & ~supp_u, neg_u | neg_v & ~supp_u); a cocircuit
-    whose support lies inside supp_u leaves u unchanged.
+    Every covector X is the conformal composition c_1 o ... o c_k of the
+    cocircuits c_i <= X (Bjorner, Las Vergnas, Sturmfels, White & Ziegler,
+    Oriented Matroids, Ch. 3). Every prefix of it is <= X too, so each next
+    c_i is conformal to the prefix: no coordinate has opposite signs. The
+    closure therefore composes a covector u only with cocircuits conformal to
+    it, and then u o c is the union (pos_u | pos_c, neg_u | neg_c).
+
+    Each frontier covector carries a bitmask over cocircuit indices: the
+    cocircuits conformal to it, less some that already lie inside it. A
+    union is conformal to c exactly when both parts are, so u o c_i takes
+    mask(u) & conf[i], where conf[i] holds the cocircuits conformal to c_i
+    other than c_i itself. The set returned equals the all-pairs composition
+    closure of the cocircuits. It is 3^r on r coordinate vectors, so the
+    closure raises ``TooLarge`` once it holds more than ``COVECTOR_BUDGET``.
     """
-    if A.cols > GROUND_SET_GUARD:
+    r = A.cols
+    if r > GROUND_SET_GUARD:
         raise TooLarge(f"covector enumeration guarded at ground-set size {GROUND_SET_GUARD}")
-    pairs = _cocircuit_masks(A)
-    base = [(p, q, p | q) for p, q in pairs]
-    closed = {(0, 0), *pairs}
-    frontier = list(closed)
+    base = list(_cocircuit_masks(A))
+    # plus[j] / minus[j]: the cocircuits with sign + / - at coordinate j
+    plus, minus = [0] * r, [0] * r
+    for i, (pos, neg) in enumerate(base):
+        for j in range(r):
+            if pos >> j & 1:
+                plus[j] |= 1 << i
+            elif neg >> j & 1:
+                minus[j] |= 1 << i
+    everything = (1 << len(base)) - 1
+    cells = []  # (pos, neg, support, conf) per cocircuit
+    for i, (pos, neg) in enumerate(base):
+        clash = 1 << i
+        for j in range(r):
+            if pos >> j & 1:
+                clash |= minus[j]
+            elif neg >> j & 1:
+                clash |= plus[j]
+        cells.append((pos, neg, pos | neg, everything & ~clash))
+    closed = {(0, 0), *base}
+    frontier = [(pos, neg, conf) for pos, neg, _, conf in cells]
     while frontier:
         fresh = []
-        for pos, neg in frontier:
+        for pos, neg, mask in frontier:
             free = ~(pos | neg)
-            for p, q, supp in base:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                p, q, supp, conf = cells[low.bit_length() - 1]
                 if supp & free:
-                    w = (pos | (p & free), neg | (q & free))
+                    w = (pos | p, neg | q)
                     if w not in closed:
                         closed.add(w)
-                        fresh.append(w)
+                        if len(closed) > COVECTOR_BUDGET:
+                            raise TooLarge(f"covector enumeration exceeded its budget of "
+                                           f"{COVECTOR_BUDGET} covectors")
+                        fresh.append((pos | p, neg | q, mask & conf))
         frontier = fresh
     return closed
 

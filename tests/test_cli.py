@@ -370,6 +370,21 @@ def test_size_guard_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_covector_budget_exit_code(tmp_path, capsys, monkeypatch):
+    import signject.matroid as matroid
+
+    # the 5 x 5 identity has 3^5 = 243 covectors
+    monkeypatch.setattr(matroid, "COVECTOR_BUDGET", 100)
+    identity = write(tmp_path, "I.json", M.identity(5))
+    a = write(tmp_path, "A.json", M([[1, -1, 0, 0, 0]]))
+    # dim S = 5 is not rank A = 1, so the sign search enumerates sigma(S)
+    for argv in (["covectors", "--A", identity],
+                 ["injectivity", "--A", a, "--B", identity, "--S-image", identity]):
+        code, payload, err = run_cli(argv, capsys)
+        assert (code, payload) == (4, None)
+        assert err.startswith("error: ") and "budget of 100 covectors" in err
+
+
 @pytest.mark.parametrize("A, B, subset, expected_code", [
     ([[1, 0, 1], [0, 1, 1]], [[1, 0], [0, 1], [1, 1]], "--\n-0\n-+\n0-\n0+\n+-\n+0\n++\n", 0),
     ([[1, -1]], [[1, 0], [0, 1]], "+-\n++\n", 3),

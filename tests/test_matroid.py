@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signject import matroid
 from signject.descartes import check_ex
 from signject.errors import RankDeficient, ShapeMismatch, TooLarge
 from signject.matroid import (
@@ -147,6 +149,82 @@ def test_covectors_match_reference_closure(rnd):
     minimal = {v for v in nonzero if not any(w.support < v.support for w in nonzero)}
     assert set(cc) == minimal
     assert cc == tuple(sorted(minimal))
+
+
+def tope_count(n, r):
+    """Topes of a uniform oriented matroid of rank n on r elements."""
+    return 2 * sum(comb(r - 1, i) for i in range(n))
+
+
+def moment_curve(n, r):
+    """Columns (1, t, ..., t^(n-1)) for t = 1..r: every maximal minor is a
+    positive Vandermonde determinant, so the oriented matroid is uniform."""
+    return M([[t ** k for t in range(1, r + 1)] for k in range(n)])
+
+
+@pytest.mark.parametrize("n, r", [(3, 16), (4, 12), (5, 12)])
+def test_uniform_covector_counts(n, r):
+    """A covector of a uniform matroid with k < n zeros is a tope of its
+    contraction, uniform of rank n - k on r - k elements."""
+    cov = covectors(moment_curve(n, r))
+    assert len(cov) == 1 + sum(comb(r, k) * tope_count(n - k, r - k) for k in range(n))
+    assert sum(1 for v in cov if len(v.support) == r) == tope_count(n, r)
+
+
+def test_coordinate_covector_count():
+    # every pair of coordinate cocircuits but +-e_j is conformal: the closure's worst case
+    assert len(covectors(M.identity(9))) == 3 ** 9
+
+
+def all_pairs_closure(A):
+    """Composition closure of A's cocircuits with every cocircuit, on (pos, neg)
+    masks: the reference for the conformal closure of ``_covector_masks``."""
+    pairs = matroid._cocircuit_masks(A)
+    base = [(p, q, p | q) for p, q in pairs]
+    closed = {(0, 0), *pairs}
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for pos, neg in frontier:
+            free = ~(pos | neg)
+            for p, q, supp in base:
+                if supp & free:
+                    w = (pos | (p & free), neg | (q & free))
+                    if w not in closed:
+                        closed.add(w)
+                        fresh.append(w)
+        frontier = fresh
+    return closed
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (RankDeficient, ShapeMismatch) as exc:
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_conformal_closure_matches_all_pairs_closure(rnd):
+    A = fractional_configuration(rnd, 5, 9)
+    if A.rows > 1 and rnd.random() < 0.3:
+        # a dependent last row: covectors raises, the other three re-present
+        A = M(A.entries[:-1] + ([2 * a for a in A.row(0)],))
+    k = rnd.randint(1, 3)
+    C = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 3)) for _ in range(k)] for _ in range(A.cols)])
+    calls = ((covectors, A), (matroid_vectors, A), (image_sign_vectors, A.transpose()),
+             (common_sign_vectors, A, C))
+    closures = []
+    conformal = matroid._covector_masks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroid, "_covector_masks", lambda B: closures.append(conformal(B)) or closures[-1])
+        got = [outcome(*call) for call in calls]
+    assert closures
+    assert not any(pos & neg for masks in closures for pos, neg in masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroid, "_covector_masks", all_pairs_closure)
+        assert [outcome(*call) for call in calls] == got
 
 
 @settings(max_examples=40, deadline=None)
