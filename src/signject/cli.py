@@ -53,6 +53,13 @@ EXIT_FAILS = 3
 EXIT_TOO_LARGE = 4
 EXIT_INTERNAL = 5
 
+# str() refuses an int of more than 4,300 digits (Python's default
+# int_max_str_digits), that is of more than 4,300 * log2(10) = 14,284 bits. A
+# rendered kappa_j has the working precision's bits, and 1 / kappa_j's more in
+# its denominator when kappa_j < 1; construct_counterexample retries at 4x the
+# precision, so 4 * 3,500 = 14,000 bits leaves 284 bits for kappa_j < 1.
+MAX_PRECISION_BITS = 3_500
+
 
 def _load(kind: str, path: str, parse):
     """parse(the text of the file at path). An error names the file: ``cannot
@@ -220,7 +227,7 @@ def _crn_special(args):
             else "multiple special steady states possible (witness attached)")
 
 
-# the oracle handlers import signject.oracle on call: numpy loads there, for non-integral B
+# the oracle handlers import signject.oracle on call: no other command loads it
 
 
 def _oracle_sign_set(args):
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--precision", type=int, default=None,
                         help="working precision in bits of counterexamples (default "
-                             "$SIGNJECT_PRECISION_BITS, else 256; min 64)")
+                             f"$SIGNJECT_PRECISION_BITS, else 256; min 64, max {MAX_PRECISION_BITS})")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=0, help="rng seed for sampling oracles")
@@ -355,8 +362,8 @@ def main(argv=None) -> int:
                 args.precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
             except ValueError:
                 raise ParseError("SIGNJECT_PRECISION_BITS must be an integer") from None
-        if args.precision < 64:
-            raise ParseError("precision must be at least 64 bits")
+        if not 64 <= args.precision <= MAX_PRECISION_BITS:
+            raise ParseError(f"precision must be between 64 and {MAX_PRECISION_BITS} bits, got {args.precision}")
         if args.jobs < 1:
             raise ParseError("--jobs must be at least 1")
         holds, body, summary = args.func(args)

@@ -450,24 +450,12 @@ def construct_counterexample(
         if w is None:
             raise VerificationFailed("mu is not a sign vector of ker(A)")
 
-    from mpmath import libmp, mp
+    from mpmath import mp
 
-    rn = libmp.round_nearest
     for attempt_prec in (prec, max(4 * prec, 1024)):
         with mp.workprec(attempt_prec):
             x_num, y_num = exponential_pair(z, y_hat)
-            xB = _monomials(B, x_num, attempt_prec)
-            yB = _monomials(B, y_num, attempt_prec)
-            kappa = []
-            for wj, xBj, yBj in zip(w, xB, yB):
-                if wj == 0:
-                    kappa.append(Fraction(1))
-                else:
-                    diff = libmp.mpf_sub(xBj, yBj, attempt_prec, rn)
-                    kj = libmp.mpf_div(_to_libmp(wj, attempt_prec), diff, attempt_prec, rn)
-                    if libmp.mpf_sign(kj) <= 0:
-                        raise VerificationFailed("constructed kappa is not positive")
-                    kappa.append(Fraction(*map(int, libmp.to_rational(kj))))
+            kappa = collision_kappa(B, w, x_num, y_num, attempt_prec)
             ok, bound = verify_counterexample(A, B, kappa, x_num, y_num, attempt_prec)
             if ok:
                 digits = int(attempt_prec * 0.3010299957) + 2
@@ -480,6 +468,29 @@ def construct_counterexample(
                     tau=tau,
                 )
     raise VerificationFailed("counterexample residual exceeds tolerance at maximum precision")
+
+
+def collision_kappa(B: RationalMatrix, w, x, y, prec: int):
+    """kappa_j = w_j / (x^b_j - y^b_j) at prec bits, rounded to nearest from
+    x^B and y^B, as exact rationals; kappa_j = 1 where w_j = 0.
+
+    For w in ker A with sigma(w) = sigma(x^B - y^B), A diag(kappa) x^B =
+    A diag(kappa) y^B up to that rounding. x and y may be exact rationals or
+    mpf. A kappa_j that is not positive raises VerificationFailed.
+    """
+    from mpmath import libmp
+
+    rn = libmp.round_nearest
+    kappa = []
+    for wj, xBj, yBj in zip(w, _monomials(B, x, prec), _monomials(B, y, prec)):
+        if wj == 0:
+            kappa.append(Fraction(1))
+        else:
+            kj = libmp.mpf_div(_to_libmp(wj, prec), libmp.mpf_sub(xBj, yBj, prec, rn), prec, rn)
+            if libmp.mpf_sign(kj) <= 0:
+                raise VerificationFailed("constructed kappa is not positive")
+            kappa.append(Fraction(*map(int, libmp.to_rational(kj))))
+    return kappa
 
 
 def verify_counterexample(A, B, kappa, x_num, y_num, prec):

@@ -4,10 +4,10 @@ Every routine here re-derives a quantity the engine computes, by a different
 algorithm (cofactor expansion, Fourier-Motzkin, brute-force orthant sweeps,
 Leibniz expansion, random sampling). Outside the tests, only the CLI's
 ``oracle`` subcommands import this module, when they run; the rest of the
-package never depends on it. Importing it loads neither numpy nor mpmath:
-only the non-integral-B branch of sampled_injectivity_search imports them,
-for its float kernel vectors and, through engine.verify_counterexample, its
-interval residuals.
+package never depends on it. Importing it does not load mpmath: only the
+non-integral-B branch of sampled_injectivity_search does, through
+engine.collision_kappa and engine.verify_counterexample. Every sign pattern
+and every candidate is decided exactly, for every B.
 """
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ from itertools import permutations, product
 from math import lcm
 
 from .engine import (DEFAULT_PRECISION_BITS, FullSpace, OrthantUnion, Subspace, SymbolicDetPoly, border_block,
-                     check_ambient_dim, verify_counterexample)
+                     check_ambient_dim, collision_kappa, verify_counterexample)
 from .errors import ShapeMismatch, TooLarge, VerificationFailed
 from .feasibility import StrictSystem, rational_point_with_sign, solve_strict
 from .ratmat import RationalMatrix, integer_monomial
-from .signs import SignVector, canonical_sort, sign_of
+from .signs import SignVector, canonical_sort, sigma, sign_of
 
 COFACTOR_LIMIT = 5
 FM_VARIABLE_LIMIT = 6
@@ -214,21 +214,27 @@ def sampled_injectivity_search(
 
     Pairs (x, y) are drawn as rationals with x - y in S (via an S-basis when S
     is a subspace; S = None means the full space). A collision exists for some
-    positive kappa iff A diag(x^B - y^B) has a positive kernel vector.
+    positive kappa iff A diag(x^B - y^B) has a positive kernel vector, that is
+    iff ker A has a vector w with the sign pattern sigma(x^B - y^B) (then
+    kappa_j = w_j / (x^b_j - y^b_j), and kappa_j > 0 is free where w_j = 0).
 
-    When B is integral this is decided exactly, with no floating point.
-    Whether such a kappa exists depends only on the sign pattern of
-    d = x^B - y^B (a kernel vector w of A with sign pattern sigma(d) gives
-    kappa_j = w_j / d_j, and any kappa_j > 0 where d_j = 0), so a pattern
-    whose LP was infeasible is not solved again. A feasible sample keeps its
+    The sign pattern is exact for every B: with D_j the lcm of the
+    denominators of row j of B, x^b_j - y^b_j has the sign of
+    x^(D_j b_j) - y^(D_j b_j), whose integer exponents ratmat.integer_monomial
+    takes. A pattern found infeasible is not solved again.
+
+    When B is integral, each sample whose pattern is not known infeasible is
+    decided by an exact LP on A diag(x^B - y^B). A feasible sample keeps its
     own LP's witness kappa, and its violation is checked by an exact rational
     residual: f_kappa(x) = f_kappa(y) must hold exactly, or VerificationFailed
     is raised.
 
-    When B is not integral, a float kernel vector rounded to a rational kappa
-    counts only if engine.verify_counterexample accepts it: the relative
-    residual, bounded in interval arithmetic at prec bits, is at most
-    engine.RESIDUAL_TOLERANCE. Deterministic per seed.
+    When B is not integral, a sample is a candidate iff ker A has a rational
+    w with its pattern; kappa comes from w by engine.collision_kappa at prec
+    bits, and the candidate counts as a violation only if
+    engine.verify_counterexample accepts it: the relative residual, bounded in
+    interval arithmetic at prec bits, is at most engine.RESIDUAL_TOLERANCE.
+    Deterministic per seed.
 
     As in check_injectivity, an S outside R^n and, unless S = {0}, an A with
     no columns raise ShapeMismatch.
@@ -240,7 +246,6 @@ def sampled_injectivity_search(
     rng = random.Random(seed)
     m, r = A.rows, A.cols
     n = B.cols
-    integral_B = all(v.denominator == 1 for row in B.entries for v in row)
     check_ambient_dim(S, n)
 
     # Every draw is p / d with d in {1, 2, 3, 4}, so its numerator over 12 is
@@ -268,16 +273,14 @@ def sampled_injectivity_search(
         p = rng.randint(-8, 8)
         return p * (12 // rng.choice([1, 2, 3, 4]))
 
+    # row j of B times D_j, the lcm of its denominators; x = X / q, and q^-deg
+    # drops out of the sign patterns
+    exponents = [[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in B.entries]
+    integral_B = all(v.denominator == 1 for row in B.entries for v in row)
     if integral_B:
-        # X = q x, so x^b = (p / d) q^-deg for (p, d) = integer_monomial(X, b), deg = sum(b)
-        exponents = [[int(v) for v in row] for row in B.entries]
+        # x^b = (p / d) q^-deg for (p, d) = integer_monomial(X, b), deg = sum(b)
         q_scales = [Fraction(1, q) ** sum(row) for row in exponents]
         positive = SignVector([1] * r)
-    else:
-        import numpy
-
-        Af = numpy.array([[float(v) for v in row] for row in A.entries]).reshape(m, r)
-        Bf = numpy.array([[float(v) for v in row] for row in B.entries])
     infeasible = set()
     candidates = 0
     violations = []
@@ -292,36 +295,39 @@ def sampled_injectivity_search(
             Z = [draw_over_12() for _ in range(n)]
         Y = [rng.randint(1, 12) * (q // rng.choice([1, 2])) for _ in range(n)]
         X = [a + b for a, b in zip(Y, Z)]
-        if not any(Z) or min(X) <= 0:
+        # a zero draw where tau is nonzero would put x - y outside S
+        if not any(Z) or min(X) <= 0 or (orthants is not None and sigma(Z) != tau):
+            continue
+        mx = [integer_monomial(X, row) for row in exponents]
+        my = [integer_monomial(Y, row) for row in exponents]
+        pattern = tuple(sign_of(px * dy - py * dx) for (px, dx), (py, dy) in zip(mx, my))
+        if pattern in infeasible:
             continue
         if integral_B:
-            mx = [integer_monomial(X, row) for row in exponents]
-            my = [integer_monomial(Y, row) for row in exponents]
-            pattern = tuple(sign_of(px * dy - py * dx) for (px, dx), (py, dy) in zip(mx, my))
-            if pattern in infeasible:
-                continue
             mono_x = [Fraction(p, d) * w for (p, d), w in zip(mx, q_scales)]
             mono_y = [Fraction(p, d) * w for (p, d), w in zip(my, q_scales)]
             diffs = [a - b for a, b in zip(mono_x, mono_y)]
             D = RationalMatrix(
                 [[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r
             )
+            # a positive kernel vector of A diag(x^B - y^B): kappa itself
             kq = rational_point_with_sign(D, positive)
-            if kq is None:
-                infeasible.add(pattern)
-                continue
-            candidates += 1
-            if _exact_map(A, kq, mono_x) != _exact_map(A, kq, mono_y):
-                raise VerificationFailed("the LP's kappa does not give f_kappa(x) = f_kappa(y)")
-            violations.append((tuple(kq), _fractions(X, q), _fractions(Y, q)))
-            continue
-        kq = _float_collision_kappa(Af, Bf, _floats(X, q), _floats(Y, q))
+        else:
+            # w in ker A with sigma(w) = sigma(x^B - y^B), made into kappa below
+            kq = rational_point_with_sign(A, SignVector(pattern))
         if kq is None:
+            infeasible.add(pattern)
             continue
         candidates += 1
         x, y = _fractions(X, q), _fractions(Y, q)
-        if verify_counterexample(A, B, kq, x, y, prec)[0]:
-            violations.append((tuple(kq), x, y))
+        if integral_B:
+            if _exact_map(A, kq, mono_x) != _exact_map(A, kq, mono_y):
+                raise VerificationFailed("the LP's kappa does not give f_kappa(x) = f_kappa(y)")
+        else:
+            kq = collision_kappa(B, kq, x, y, prec)
+            if not verify_counterexample(A, B, kq, x, y, prec)[0]:
+                continue
+        violations.append((tuple(kq), x, y))
     return SearchReport(samples=samples, seed=seed, candidates=candidates, violations=tuple(violations))
 
 
@@ -329,31 +335,6 @@ def _fractions(V, q):
     return tuple(Fraction(v, q) for v in V)
 
 
-def _floats(V, q):
-    import numpy
-
-    # int / int rounds correctly, so these equal the floats of the Fractions
-    return numpy.array([v / q for v in V])
-
-
 def _exact_map(A, kappa, mono):
     """f_kappa(x) = A diag(kappa) x^B over the rationals, from the monomials x^B."""
     return [sum((a * k * v for a, k, v in zip(row, kappa, mono)), Fraction(0)) for row in A.entries]
-
-
-def _float_collision_kappa(Af, Bf, xf, yf):
-    """A positive float kernel vector of A diag(x^B - y^B), rounded to rationals,
-    or None. The tolerance on the singular values is absolute. With no rows,
-    every positive vector is in the kernel, and kappa = 1."""
-    import numpy
-
-    D = Af * (numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf)))
-    if not D.size:
-        return [Fraction(1)] * D.shape[1]
-    _, sing, vt = numpy.linalg.svd(D)
-    for v in (vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < 1e-10):
-        if numpy.all(v > 1e-9):
-            return [Fraction(float(k)).limit_denominator(10**9) for k in v]
-        if numpy.all(v < -1e-9):
-            return [Fraction(float(-k)).limit_denominator(10**9) for k in v]
-    return None

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from signject.cli import main
-from signject.engine import FullSpace, check_injectivity
+from signject.cli import MAX_PRECISION_BITS, _json_value, main
+from signject.engine import FullSpace, check_injectivity, verify_counterexample
 from signject.ratmat import RationalMatrix
 
 M = RationalMatrix
@@ -179,6 +180,32 @@ def test_usage_errors(tmp_path, capsys):
     a = write(tmp_path, "A.json", M.identity(2))
     code, _, err = run_cli(["--precision", "32", "chirotope", "--A", a], capsys)
     assert code == 2 and "precision" in err
+
+
+def test_precision_upper_bound(tmp_path, capsys, monkeypatch):
+    """At the bound a counterexample is built and rendered (exit 3); one bit
+    more, from --precision or from $SIGNJECT_PRECISION_BITS, is a usage error
+    that names the precision (exit 2)."""
+    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
+    argv = ["injectivity", "--A", write(tmp_path, "A.json", RationalMatrix([[1, -1]])),
+            "--B", write(tmp_path, "B.json", RationalMatrix([[1], [2]])), "--full-space"]
+    code, payload, _ = run_cli(["--precision", str(MAX_PRECISION_BITS)] + argv, capsys)
+    assert code == 3 and payload["counterexample"] is not None
+    message = f"error: precision must be between 64 and {MAX_PRECISION_BITS} bits, got {MAX_PRECISION_BITS + 1}\n"
+    code, payload, err = run_cli(["--precision", str(MAX_PRECISION_BITS + 1)] + argv, capsys)
+    assert code == 2 and payload is None and err == message
+    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", str(MAX_PRECISION_BITS + 1))
+    code, payload, err = run_cli(argv, capsys)
+    assert code == 2 and payload is None and err == message
+
+
+def test_json_value_renders_retry_precision_rationals():
+    """A kappa of the 4x retry at the bound, numerator and denominator of
+    4 * MAX_PRECISION_BITS bits each, renders as p/q."""
+    bits = 4 * MAX_PRECISION_BITS
+    value = Fraction(2**bits - 1, 2**(bits - 1))
+    assert value.numerator.bit_length() == value.denominator.bit_length() == bits
+    assert Fraction(_json_value(value)) == value
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5"])
@@ -446,7 +473,9 @@ def test_sign_search_budget(tmp_path, capsys, monkeypatch, A, B, subset, expecte
 @pytest.mark.parametrize("B", [[["1"], ["2"]], [["1/2"], ["2"]]], ids=["integral", "fractional"])
 def test_oracle_sample_without_rows(tmp_path, capsys, B):
     """A 0 x 2 matrix A: f_kappa is the empty map, so every admissible pair
-    collides with kappa = 1, in both branches of the sampling search."""
+    collides, in both branches of the sampling search: with the LP's kappa = 1
+    for integral B, and with a positive kappa from a kernel vector of A,
+    verified at 256 bits, for non-integral B."""
     a = tmp_path / "A.json"
     a.write_text(json.dumps({"rows": 0, "cols": 2, "entries": []}))
     b = tmp_path / "B.json"
@@ -454,7 +483,13 @@ def test_oracle_sample_without_rows(tmp_path, capsys, B):
     code, payload, err = run_cli(["oracle", "sample", "--A", str(a), "--B", str(b), "--samples", "20"], capsys)
     assert code == 3 and err == "17 verified violations in 20 samples\n"
     assert payload["candidates"] == 17
-    assert all(v["kappa"] == ["1", "1"] and v["x"] != v["y"] for v in payload["violations"])
+    if B == [["1"], ["2"]]:
+        assert all(v["kappa"] == ["1", "1"] for v in payload["violations"])
+    no_rows, exponents = RationalMatrix([], 0, 2), RationalMatrix([[Fraction(e) for e in row] for row in B])
+    for v in payload["violations"]:
+        kappa, x, y = ([Fraction(e) for e in v[key]] for key in ("kappa", "x", "y"))
+        assert x != y and all(k > 0 for k in kappa)
+        assert verify_counterexample(no_rows, exponents, kappa, x, y, 256)[0]
 
 
 @pytest.mark.parametrize("subset", ["--full-space", "--S-image", "--S-signs"])

@@ -13,8 +13,9 @@ come from exact LP witnesses.
 
 ``oracle.json`` pins, by candidate and violation counts and the sha256 of
 the report bytes, the sampling oracle's ``SearchReport`` on the branches the
-route pool does not reach: S a union of orthants, and non-integral B (the
-float kernel vector and the interval residual check).
+route pool does not reach: S a union of orthants, and non-integral B (a
+kernel vector of A with the sample's exact sign pattern, kappa from it at
+256 bits, and the interval residual check).
 
 ``matroid.json`` pins the same way ``covectors``, ``cocircuits`` and
 ``chirotope`` on the three configurations of the benchmark's ``sign_search``
@@ -315,11 +316,12 @@ def oracle_cases():
     """(name, A, B, S): the sampling oracle's branches that the route pool leaves out.
 
     S is an OrthantUnion in the ``orthant/*`` cases, and B is non-integral in
-    the ``fractional/*`` cases, which take the float kernel vector and the
-    interval residual check. With A = (4, -3) and B = (1/2, 1/2) the float
-    kernel vector (3/5, 4/5) is recovered exactly, so those cases report
-    violations; the others report candidates whose rounded kappa fails the
-    residual check."""
+    the ``fractional/*`` cases, which take a kernel vector w of A with the
+    sample's exact sign pattern, kappa_j = w_j / (x^b_j - y^b_j) at 256 bits,
+    and the interval residual check, which every candidate passes. In the
+    ``/rounded`` cases no positive multiple of a colliding kappa is rational;
+    in the others (A = (4, -3), with equal rows of B) one is. The search
+    rounds kappa in both."""
     pool = route_pool()
     half = [[Fraction(1, 2)], [Fraction(1, 2)]]
     cases = []

@@ -5,9 +5,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
-import numpy
 import pytest
 from mpmath import mp
 
@@ -25,7 +25,7 @@ from signject.oracle import (
     sampled_injectivity_search,
 )
 from signject.ratmat import RationalMatrix, det
-from signject.signs import SignVector
+from signject.signs import SignVector, sign_of, sigma
 
 M = RationalMatrix
 S = SignVector.parse
@@ -87,6 +87,16 @@ def test_search_empty_subset():
     assert rep.candidates == 0 and not rep.found_violation
 
 
+def test_orthant_samples_stay_in_S():
+    """A zero draw where the orthant's sign is nonzero gives x - y outside S:
+    with S the open positive quadrant, such a pair (sign 0+) collides for
+    f = kappa x_1, which is injective on S, and must not be reported."""
+    A, B, S = M([[1]]), M([[1, 0]]), OrthantUnion((SignVector.parse("++"),))
+    assert check_injectivity(A, B, S).injective
+    rep = sampled_injectivity_search(A, B, S=S, samples=200, seed=0)
+    assert rep.candidates == 0 and not rep.found_violation
+
+
 @pytest.mark.parametrize("B", [M.identity(2), M([[Fraction(1, 2), 0], [0, 1]])], ids=["integral", "non-integral"])
 @pytest.mark.parametrize("subset, message", [
     (Subspace(C=M([[1], [1], [1]])), "subspace lives in the wrong ambient dimension"),
@@ -134,9 +144,14 @@ def test_oracles_never_imported_by_verdict_code():
 
 
 def reference_search(A, B, S=None, samples=1000, seed=0, prec=256):
-    """The sampling loop as it was before the search moved to integers: Fraction
-    samples, one exact LP per screened sample, and the 256-bit interval residual
-    check for every candidate, integral B included."""
+    """The sampling loop on Fraction samples, with no cache of sign patterns.
+
+    For integral B, one exact LP for A diag(x^B - y^B) kappa = 0, kappa > 0
+    per sample, and the 256-bit interval residual check for every candidate.
+    For non-integral B, Fourier-Motzkin decides whether ker A has a vector
+    with the sign pattern of x^B - y^B, taken from Fraction powers of
+    x^(D_j b_j) and y^(D_j b_j) with D_j the lcm of row j's denominators; a
+    candidate is reported as a violation with kappa None."""
     rng = random.Random(seed)
     m, r = A.rows, A.cols
     n = B.cols
@@ -152,8 +167,6 @@ def reference_search(A, B, S=None, samples=1000, seed=0, prec=256):
     def draw_fraction():
         return Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4]))
 
-    Af = numpy.array([[float(v) for v in row] for row in A.entries])
-    Bf = numpy.array([[float(v) for v in row] for row in B.entries])
     candidates = 0
     violations = []
     for _ in range(samples):
@@ -166,35 +179,23 @@ def reference_search(A, B, S=None, samples=1000, seed=0, prec=256):
             z = tuple(draw_fraction() for _ in range(n))
         y = tuple(Fraction(rng.randint(1, 12), rng.choice([1, 2])) for _ in range(n))
         x = tuple(a + b for a, b in zip(y, z))
-        if x == y or any(v <= 0 for v in x):
+        if x == y or any(v <= 0 for v in x) or (orthants is not None and sigma(z) != tau):
             continue
-        xf = numpy.array([float(v) for v in x])
-        yf = numpy.array([float(v) for v in y])
-        d = numpy.exp(Bf @ numpy.log(xf)) - numpy.exp(Bf @ numpy.log(yf))
-        _, sing, vt = numpy.linalg.svd(Af * d)
-        if integral_B:
-            tol = 1e-9 * max(1.0, sing[0] if len(sing) else 0.0)
-            null = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < tol]
-            if not null:
-                continue
-            v = null[0]
-            if len(null) == 1 and numpy.all(numpy.abs(v) > 1e-9) and numpy.any(v > 0) and numpy.any(v < 0):
-                continue
-            diffs = [_power(x, B.entries[j]) - _power(y, B.entries[j]) for j in range(r)]
-            D = RationalMatrix([[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r)
-            res = solve_strict(StrictSystem(nvars=r, equalities=D, comp_signs=SignVector([1] * r)))
-            if not res.feasible:
-                continue
-            kq = res.witness
-        else:
-            null = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] < 1e-10]
-            kq = None
-            for v in null:
-                if numpy.all(v > 1e-9) or numpy.all(v < -1e-9):
-                    kq = [Fraction(float(abs(k))).limit_denominator(10**9) for k in v]
-                    break
-            if kq is None:
-                continue
+        if not integral_B:
+            pattern = []
+            for row in B.entries:
+                scaled = [v * lcm(*(u.denominator for u in row)) for v in row]
+                pattern.append(sign_of(_power(x, scaled) - _power(y, scaled)))
+            if fm_strict_feasible(StrictSystem(nvars=r, equalities=A, comp_signs=SignVector(pattern))):
+                candidates += 1
+                violations.append((None, x, y))
+            continue
+        diffs = [_power(x, B.entries[j]) - _power(y, B.entries[j]) for j in range(r)]
+        D = RationalMatrix([[A.entries[i][j] * diffs[j] for j in range(r)] for i in range(m)], m, r)
+        res = solve_strict(StrictSystem(nvars=r, equalities=D, comp_signs=SignVector([1] * r)))
+        if not res.feasible:
+            continue
+        kq = res.witness
         candidates += 1
         with mp.workprec(prec):
             vx, ex = evaluate_map(A, B, kq, [mp.mpf(v.numerator) / v.denominator for v in x], prec)
@@ -241,7 +242,7 @@ def _random_instances(rnd, count):
     return out
 
 
-# instances whose LPs or float kernels give collisions, so the violation
+# instances whose LPs or kernel vectors of A give collisions, so the violation
 # branches run: f = k1 x^2 - k2 x (in x_1 alone when x - y lies on the first
 # axis), and A = (4, -3) with x^(1/2) twice
 COLLIDING = [
@@ -257,14 +258,50 @@ COLLIDING = [
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_search_matches_reference_loop(seed):
-    """Same draws, same candidates, same violations, for every kind of S and B."""
+    """Same draws, same candidates and the same violations, for every kind of S
+    and B; for non-integral B the violations are compared by their (x, y), so
+    every candidate is a verified violation."""
     cases = COLLIDING + _random_instances(random.Random(f"oracle-{seed}"), 12)
-    found = 0
+    found = [0, 0]
     for A, B, S in cases:
         got = sampled_injectivity_search(A, B, S=S, samples=80, seed=seed)
-        assert got == reference_search(A, B, S=S, samples=80, seed=seed), (A, B, S)
-        found += len(got.violations)
-    assert found
+        expected = reference_search(A, B, S=S, samples=80, seed=seed)
+        integral = all(v.denominator == 1 for row in B.entries for v in row)
+        if integral:
+            assert got == expected, (A, B, S)
+        else:
+            assert got.candidates == expected.candidates, (A, B, S)
+            assert [v[1:] for v in got.violations] == [v[1:] for v in expected.violations], (A, B, S)
+        found[integral] += len(got.violations)
+    assert all(found)
+
+
+def _in_subset(z, S):
+    if isinstance(S, Subspace):
+        return not any(S.kernel_presentation().apply(z))
+    if isinstance(S, OrthantUnion):
+        return sigma(z) in S.T
+    return True
+
+
+def test_non_integral_search_never_falsifies():
+    """On seeded non-integral-B instances drawn as _random_instances draws
+    them, the search reports no violation where check_injectivity says
+    injective, and every violation it reports has x - y in S and passes
+    engine.verify_counterexample."""
+    instances = [(A, B, S) for A, B, S in _random_instances(random.Random("non-integral"), 160)
+                 if any(v.denominator != 1 for row in B.entries for v in row)]
+    injective = found = 0
+    for k, (A, B, S) in enumerate(instances):
+        rep = sampled_injectivity_search(A, B, S=S, samples=200, seed=k)
+        if check_injectivity(A, B, S).injective:
+            injective += 1
+            assert not rep.found_violation, (A, B, S)
+        for kappa, x, y in rep.violations:
+            assert _in_subset([a - b for a, b in zip(x, y)], S), (A, B, S, x, y)
+            assert engine.verify_counterexample(A, B, kappa, x, y, 256)[0], (A, B, S, x, y)
+        found += len(rep.violations)
+    assert injective and found
 
 
 def test_wrong_lp_witness_raises(monkeypatch):
@@ -281,9 +318,10 @@ def test_wrong_lp_witness_raises(monkeypatch):
 
 
 def test_non_integral_search_uses_the_engine_tolerance(monkeypatch):
-    """A rounded float kappa for x^(1/2) against x (the golden
-    fractional/full/rounded) is a violation exactly when the engine's
-    RESIDUAL_TOLERANCE admits its residual: at 1 every candidate is, at 0 none."""
+    """For x^(1/2) against x (the golden fractional/full/rounded), a kappa
+    rounded from w / (x^B - y^B) at 256 bits is a violation exactly when the
+    engine's RESIDUAL_TOLERANCE admits its residual: at 1 every candidate is,
+    at 0 none, since the interval residual is never exactly 0."""
     A, B = M([[1, -1]]), M([[Fraction(1, 2)], [1]])
     monkeypatch.setattr(engine, "RESIDUAL_TOLERANCE", 1)
     loose = sampled_injectivity_search(A, B, samples=200, seed=5)
@@ -294,14 +332,16 @@ def test_non_integral_search_uses_the_engine_tolerance(monkeypatch):
 
 
 # Run in a fresh interpreter: prints which of numpy and mpmath are loaded after
-# the import, after exact decisions, and after a rendered counterexample.
+# the import, after exact decisions, after a rendered counterexample and after
+# a non-integral-B search.
 _LOADED_SCRIPT = """
 import json, sys
+from fractions import Fraction
 import signject.cli
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity
 from signject.oracle import sampled_injectivity_search
 from signject.ratmat import RationalMatrix as M
-from signject.signs import SignVector
+from signject.signs import SignVector, sign_of, sigma
 
 def loaded():
     return [name for name in ("mpmath", "numpy") if name in sys.modules]
@@ -321,13 +361,17 @@ stages["violations"] = sum(len(sampled_injectivity_search(A, B, S=T, samples=80,
 stages["exact"] = loaded()
 stages["not_injective"] = check_injectivity(M([[1, -1]]), M.identity(2), FullSpace()).injective
 stages["witness"] = loaded()
+stages["fractional"] = len(sampled_injectivity_search(M([[1, -1]]), M([[Fraction(1, 2)], [1]]),
+                                                      samples=80, seed=3).violations)
+stages["non_integral"] = loaded()
 print(json.dumps(stages))
 """
 
 
 def test_integral_search_makes_no_numpy_call():
     """Importing the CLI, an injective verdict and the integral-B search load
-    neither numpy nor mpmath; a rendered counterexample loads mpmath only."""
+    neither numpy nor mpmath; a rendered counterexample and the non-integral-B
+    search load mpmath only."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT], env=env,
@@ -337,3 +381,4 @@ def test_integral_search_makes_no_numpy_call():
     assert stages["import"] == [] and stages["exact"] == []
     assert stages["injective"] is True and stages["violations"] > 0
     assert stages["not_injective"] is False and stages["witness"] == ["mpmath"]
+    assert stages["fractional"] > 0 and stages["non_integral"] == ["mpmath"]

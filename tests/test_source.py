@@ -1,10 +1,10 @@
 """Static checks of the package source, made with ast (no linter needed).
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
-instead; every import is used; every function and class has a caller; no
-module but ``cli.py`` touches the environment; no function but ``cli.main``
-writes output; no function writes into its caller's arguments; and no result
-class renders itself as JSON.
+instead; every import is used, and none is numpy; every function and class
+has a caller; no module but ``cli.py`` touches the environment; no function
+but ``cli.main`` writes output; no function writes into its caller's
+arguments; and no result class renders itself as JSON.
 """
 import ast
 from collections import Counter
@@ -45,6 +45,15 @@ def test_no_unused_imports(path):
             used |= {elt.value for elt in node.value.elts}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    """The package runs on the standard library and mpmath: numpy is no dependency."""
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    assert lines == [], f"{path.name}: numpy imported at lines {lines}"
 
 
 def _named(node):
