@@ -452,7 +452,7 @@ def construct_counterexample(
 
     from mpmath import mp
 
-    for attempt_prec in (prec, max(4 * prec, 1024)):
+    for attempt_prec in retry_precisions(prec):
         with mp.workprec(attempt_prec):
             x_num, y_num = exponential_pair(z, y_hat)
             kappa = collision_kappa(B, w, x_num, y_num, attempt_prec)
@@ -468,6 +468,12 @@ def construct_counterexample(
                     tau=tau,
                 )
     raise VerificationFailed("counterexample residual exceeds tolerance at maximum precision")
+
+
+def retry_precisions(prec: int):
+    """The working precisions, in bits, at which a rounded kappa is tried: prec,
+    then max(4 prec, 1024)."""
+    return prec, max(4 * prec, 1024)
 
 
 def collision_kappa(B: RationalMatrix, w, x, y, prec: int):

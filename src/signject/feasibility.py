@@ -186,18 +186,36 @@ def solve_strict(sys: StrictSystem) -> FeasibilityResult:
     An infeasible system's certificate has one Farkas multiplier per row of
     constraint_rows(), in that order.
     """
-    rows = sys.constraint_rows()
-    # the tableau takes the equalities first, each group in constraint order
+    return solve_rows(sys.nvars, sys.constraint_rows())
+
+
+def solve_rows(nvars: int, rows) -> FeasibilityResult:
+    """Decide (row, sign) pairs over nvars variables exactly, eps = 1.
+
+    A row's coefficients may be ints or Fractions: the simplex clears each
+    row of its denominators, so an int row and its Fraction copy give the
+    same result. The witness, or the certificate with one Farkas multiplier
+    per row in the given order, is re-checked exactly before it is returned.
+
+    Scaling variable j by c_j > 0 (coefficient j of every row times c_j)
+    changes no pivot: each reduced cost and each ratio of the entering column
+    is scaled by the same c_j, so Bland's rule picks the same columns and
+    rows, witness_j comes out divided by c_j and the certificate is the same.
+    Scaling a row is not such an invariance: on an inequality it moves the
+    eps = 1 boundary, and on an equality it reweights that row's artificial
+    in the phase-1 objective, which can change the pivots.
+    """
+    # the tableau takes the equalities first, each group in the given order
     order = [i for i, (_, s) in enumerate(rows) if not s]
     order += [i for i, (_, s) in enumerate(rows) if s]
-    witness, lam = _simplex_feasibility(sys.nvars, [rows[i] for i in order])
+    witness, lam = _simplex_feasibility(nvars, [rows[i] for i in order])
     if witness is not None:
         _check_witness(rows, witness)
         return FeasibilityResult(True, witness=witness)
     certificate = [None] * len(rows)
     for i, l in zip(order, lam):
         certificate[i] = l
-    check_certificate(sys.nvars, rows, certificate)
+    check_certificate(nvars, rows, certificate)
     return FeasibilityResult(False, certificate=tuple(certificate))
 
 

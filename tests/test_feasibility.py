@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from signject.feasibility import (
     feasible_sign_pair,
     open_halfspace_contains_rows,
     rational_point_with_sign,
+    solve_rows,
     solve_strict,
 )
 from signject.oracle import fm_strict_feasible
@@ -232,6 +234,33 @@ def test_integer_rechecks_match_fraction_references(nvars, m, k, rnd):
     for cand in negative:
         assert _outcome(check_certificate, nvars, rows, cand) == "Farkas multiplier for an inequality is negative"
     assert _outcome(check_certificate, nvars, rows, zero_total) == "Farkas certificate does not prove infeasibility"
+
+
+@settings(max_examples=150, deadline=None)
+@strict_systems
+def test_variable_scaling_changes_no_pivot(nvars, m, k, rnd):
+    """Scaling variable j by c_j > 0, that is coefficient j of every row, takes
+    the simplex through the same pivots: witness_j comes out divided by c_j
+    and the certificate is the same. Integer rows and their Fraction copies
+    give the same result. The sampling oracle's integer rows rest on both."""
+    sys = _draw_system(nvars, m, k, rnd)
+    rows = sys.constraint_rows()
+    res = solve_rows(nvars, rows)
+    assert res == solve_strict(sys)
+    c = [rnd.choice([1, 2, 3, 12, 1000, Fraction(1, 6), Fraction(5, 4)]) for _ in range(nvars)]
+    scaled = [(tuple(v * cj for v, cj in zip(coeffs, c)), s) for coeffs, s in rows]
+    # clearing every denominator at once is one more common scaling
+    L = lcm(*(v.denominator for coeffs, _ in scaled for v in coeffs))
+    c = [cj * L for cj in c]
+    ints = [(tuple(int(v * L) for v in coeffs), s) for coeffs, s in scaled]
+    fractions = [(tuple(Fraction(v) for v in coeffs), s) for coeffs, s in ints]
+    got = solve_rows(nvars, ints)
+    assert got == solve_rows(nvars, fractions)
+    assert got.feasible == res.feasible
+    if res.feasible:
+        assert got.witness == tuple(w / cj for w, cj in zip(res.witness, c))
+    else:
+        assert got.certificate == res.certificate
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from signject import engine, feasibility, oracle
+from signject import engine, oracle
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
-from signject.errors import InternalError, ShapeMismatch, TooLarge
-from signject.feasibility import FeasibilityResult, StrictSystem, solve_strict
+from signject.errors import InternalError, ShapeMismatch, TooLarge, VerificationFailed
+from signject.feasibility import FeasibilityResult, StrictSystem, solve_rows, solve_strict
 from signject.oracle import (
     SearchReport,
     brute_force_sign_set,
@@ -306,15 +306,43 @@ def test_non_integral_search_never_falsifies():
 
 def test_wrong_lp_witness_raises(monkeypatch):
     """The exact residual check catches a kappa that does not collide."""
-    def doubled_first(system):
-        res = solve_strict(system)
+    def doubled_first(nvars, rows):
+        res = solve_rows(nvars, rows)
         if not res.feasible:
             return res
         return FeasibilityResult(True, witness=(2 * res.witness[0],) + tuple(res.witness[1:]))
 
-    monkeypatch.setattr(feasibility, "solve_strict", doubled_first)
+    monkeypatch.setattr(oracle, "solve_rows", doubled_first)
     with pytest.raises(InternalError):
         sampled_injectivity_search(RationalMatrix([[1, -1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
+
+
+def test_wrong_column_sign_raises(monkeypatch):
+    """The exact residual is taken from kappa and the monomials, not from the
+    LP's rows. f = k1 x^2 + k2 x is injective, but with the sign of column 0
+    of A diag(x^B - y^B) flipped the LP finds a kappa, which its own witness
+    check accepts and the residual rejects."""
+    def flip_first_column(nvars, rows):
+        return solve_rows(nvars, [((-coeffs[0],) + tuple(coeffs[1:]), s) if not s else (coeffs, s)
+                                  for coeffs, s in rows])
+
+    monkeypatch.setattr(oracle, "solve_rows", flip_first_column)
+    with pytest.raises(VerificationFailed, match="does not give f_kappa"):
+        sampled_injectivity_search(RationalMatrix([[1, 1]]), RationalMatrix([[2], [1]]), samples=60, seed=11)
+
+
+def test_low_precision_search_retries():
+    """For x^(1/2) against x, a kappa rounded at 64 or 96 bits cannot meet the
+    residual tolerance; the search retries at max(4 prec, 1024) bits, as
+    construct_counterexample does, so every candidate is still a verified
+    violation. Without the retry, 64 and 96 bits reported none of 162."""
+    A, B = M([[1, -1]]), M([[Fraction(1, 2)], [1]])
+    reports = {prec: sampled_injectivity_search(A, B, samples=200, seed=0, prec=prec) for prec in (64, 96, 256)}
+    for prec, rep in reports.items():
+        assert rep.candidates == 162 and len(rep.violations) == 162, prec
+        for kappa, x, y in rep.violations[:5]:
+            assert engine.verify_counterexample(A, B, kappa, x, y, 256)[0], prec
+    assert [v[1:] for v in reports[64].violations] == [v[1:] for v in reports[256].violations]
 
 
 def test_non_integral_search_uses_the_engine_tolerance(monkeypatch):
