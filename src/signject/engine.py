@@ -29,10 +29,10 @@ from .ratmat import (
     column_basis,
     det,
     gale_dual,
-    integer_det,
     integer_rows,
     integer_rref,
     kernel_basis,
+    maximal_minors,
     permutation_sign_tau,
     rank,
     rref,
@@ -156,29 +156,40 @@ def border_block(Z: Optional[RationalMatrix], s: int, n: int) -> Optional[Ration
 def gamma_det_poly(
     Aprime: RationalMatrix, B: RationalMatrix, Z: Optional[RationalMatrix]
 ) -> SymbolicDetPoly:
-    """Exact coefficients of det of the (Z over A'_kappa B_lambda) block matrix."""
+    """Exact coefficients of det of the (Z over A'_kappa B_lambda) block matrix.
+
+    The coefficient of kappa^J lambda^I is tau(I) det(Z_{:,I^c}) det(A'_J)
+    det(B_{J,I}). Every minor is read from a ``maximal_minors`` table on
+    integer rows: one of A', one of Z, and one of B[:, I]^T for each I with
+    det(Z_{:,I^c}) != 0.
+    """
     s, r = Aprime.rows, Aprime.cols
     if B.rows != r:
         raise ShapeMismatch("B must have one row per column of A'")
     n = B.cols
     Z = border_block(Z, s, n)
     b_rows, b_scales = integer_rows(B)
-    terms = {}
-    full_s = list(range(s))
-    full_ns = list(range(n - s))
+    a_rows, a_scales = integer_rows(Aprime)
     # det(A'_{[s],J}) does not depend on I; a J with a zero minor adds no term
-    a_minors = [(J, m) for J in combinations(range(r), s)
-                if (m := det(Aprime.submatrix(full_s, J))) != 0]
+    a_minors = maximal_minors(a_rows)
+    # with no Z (s = n), the one minor is the empty one, on I^c = ()
+    z_rows, z_scales = ([], []) if Z is None else integer_rows(Z)
+    z_minors, z_den = maximal_minors(z_rows), prod(z_scales)
+    a_den = prod(a_scales)
+    terms = {}
     for I in combinations(range(n), s):
-        Ic = [i for i in range(n) if i not in set(I)]
-        tau = permutation_sign_tau(I, n)
-        z_minor = Fraction(1) if Z is None else det(Z.submatrix(full_ns, Ic))
-        if z_minor == 0:
+        Ic = tuple(i for i in range(n) if i not in I)
+        z_minor = z_minors.get(Ic)
+        if z_minor is None:
             continue
-        for J, a_minor in a_minors:
-            b = integer_det([[b_rows[j][i] for i in I] for j in J])
+        tau = permutation_sign_tau(I, n)
+        # det(B_{J,I}) for every J, as the maximal minors of B[:, I]^T
+        b_minors = maximal_minors([[row[i] for row in b_rows] for i in I])
+        for J, a_minor in a_minors.items():
+            b = b_minors.get(J)
             if b:
-                terms[(I, J)] = tau * z_minor * a_minor * Fraction(b, prod(b_scales[j] for j in J))
+                terms[(I, J)] = Fraction(tau * z_minor * a_minor * b,
+                                         z_den * a_den * prod(b_scales[j] for j in J))
     return SymbolicDetPoly(s, terms)
 
 
@@ -193,7 +204,9 @@ def det_condition(p: SymbolicDetPoly) -> bool:
 def _paired_products(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     """(I, J, num, den) with det(Atilde_{I,J}) det(B_{J,I}) = num / den and
     den > 0, in lexicographic (I, J) order; pairs whose product is known to
-    vanish may be left out. The cases are those of ``check_minors``.
+    vanish may be left out. The cases are those of ``check_minors``; at rank s
+    every minor is read from a ``maximal_minors`` table: one of R, one of C^T,
+    and one of B[:, I]^T for each I with det(C_I) != 0.
     """
     n, r = Atilde.rows, Atilde.cols
     a_rows, a_scales = integer_rows(Atilde)
@@ -211,15 +224,15 @@ def _paired_products(Atilde: RationalMatrix, B: RationalMatrix, s: int):
     # det(C_I) det(R_J), and on the integer rows det(R_J) = det(Atilde_{P,J}) / d
     b_rows, b_scales = integer_rows(B)
     sign_d = 1 if d > 0 else -1
-    r_minors = [(J, sign_d * m, prod(b_scales[j] for j in J)) for J in combinations(range(r), s)
-                if (m := integer_det([[a_rows[p][j] for j in J] for p in P]))]
-    for I in combinations(range(n), s):
-        c = integer_det([[a_rows[i][q] for q in Q] for i in I])
-        if c == 0:
-            continue
+    r_minors = [(J, sign_d * m, prod(b_scales[j] for j in J))
+                for J, m in maximal_minors([a_rows[p] for p in P]).items()]
+    # det(C_I) for every I, as the maximal minors of C^T
+    for I, c in maximal_minors([[row[q] for row in a_rows] for q in Q]).items():
         den = abs(d) * prod(a_scales[i] for i in I)
+        # det(B_{J,I}) for every J, as the maximal minors of B[:, I]^T
+        b_minors = maximal_minors([[row[i] for row in b_rows] for i in I])
         for J, m, b_scale in r_minors:
-            b = integer_det([[b_rows[j][i] for i in I] for j in J])
+            b = b_minors.get(J)
             if b:
                 yield I, J, c * m * b, den * b_scale
 
@@ -237,10 +250,12 @@ def check_minors(Atilde: RationalMatrix, B: RationalMatrix, s: int):
 
     - k < s: every s-minor of Atilde vanishes, and no pair is scanned;
     - k = s: Atilde = C R, with C its pivot columns and R the nonzero rows of
-      its rref, so det(Atilde_{I,J}) = det(C_I) det(R_J) (Cauchy-Binet):
-      C(n, s) + C(r, s) integer minors, and the I and J with a zero factor
-      are dropped before the pairs are formed. det(B_{J,I}) is an integer
-      minor of B's integer rows, taken only for the pairs left;
+      its rref, so det(Atilde_{I,J}) = det(C_I) det(R_J) (Cauchy-Binet). Two
+      tables of ``maximal_minors`` give every nonzero det(R_J) and det(C_I)
+      (the latter as minors of C^T), so the I and J with a zero factor are
+      dropped before the pairs are formed. For each I left, one table of the
+      maximal minors of B[:, I]^T, on B's integer rows, gives det(B_{J,I})
+      for every J;
     - k > s (only the ``minors`` command with s below the rank of Atilde):
       no one factorization serves, so both minors of each pair are taken
       directly with ``det``.

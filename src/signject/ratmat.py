@@ -5,11 +5,14 @@ Entries are :class:`fractions.Fraction`; nothing here ever rounds.
 runs on those integer rows. ``integer_rref`` is one fraction-free
 Gauss-Jordan elimination: it gives the reduced form, the pivots and their
 determinant, and is behind ``rref`` (so ``rank``, ``kernel_basis``,
-``column_basis`` and ``gale_dual``) and the paired-minor scans in ``engine``.
-``integer_det``, the same elimination run forward only, is behind ``det`` and
-the cocircuit normals in ``matroid``. ``integer_monomial`` is the one exact
-x^B: the steady-state grid in ``crn`` and the integral-B sampling oracle
-evaluate their monomials with it.
+``column_basis`` and ``gale_dual``) and the factorization of the paired-minor
+scan in ``engine``. ``integer_det``, the same elimination run forward only, is
+behind ``det`` and the cocircuit normals in ``matroid``. ``maximal_minors``
+gives every nonzero maximal minor of an integer matrix in one Laplace
+expansion, row by row; the paired-minor scan (at rank s) and the det-polynomial
+scan in ``engine``, and ``verify_gale_relation``, read every minor from such
+tables. ``integer_monomial`` is the one exact x^B: the steady-state grid in
+``crn`` and the integral-B sampling oracle evaluate their monomials with it.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -291,6 +294,35 @@ def integer_det(grid) -> int:
     return sign * grid[0][0]
 
 
+def maximal_minors(rows) -> dict:
+    """{J: det(M_{:,J})} for a k x r integer matrix M, given as a list of rows:
+    one entry per column subset J (a sorted tuple, in lexicographic order) whose
+    k x k minor is nonzero. With no rows, the one minor is the empty one, 1.
+
+    Laplace expansion row by row: the minors of the first t + 1 rows are summed
+    from those of the first t, each one times a nonzero entry of row t outside
+    its columns, so every smaller minor is computed once and used by all its
+    extensions, and zero minors and zero entries cost nothing. A column set is
+    a bitmask while it grows.
+    """
+    level = {0: 1}
+    for t, row in enumerate(rows):
+        # in the minor on K + j, the entry of row t at column j stands at row t
+        # and at column |{k in K: k < j}|, which give its cofactor's sign
+        entries = [(a, 1 << j) for j, a in enumerate(row) if a]
+        grown = {}
+        for K, m in level.items():
+            for a, bit in entries:
+                if not K & bit:
+                    odd = (t + (K & (bit - 1)).bit_count()) & 1
+                    grown[K | bit] = grown.get(K | bit, 0) + (-a * m if odd else a * m)
+        level = {K: m for K, m in grown.items() if m}
+        if not level:
+            break
+    width = max(map(int.bit_length, level), default=0)
+    return dict(sorted((tuple(j for j in range(width) if K >> j & 1), m) for K, m in level.items()))
+
+
 def integer_rows(M: RationalMatrix):
     """(rows, scales): each row of M times the lcm of its denominators, as a
     list of integers, and that lcm, so M.row(i) = rows[i] / scales[i]."""
@@ -357,14 +389,17 @@ def verify_gale_relation(C: RationalMatrix, Z: RationalMatrix) -> Fraction:
     n, s = C.rows, C.cols
     if Z.cols != n or Z.rows != n - s:
         raise ShapeMismatch("Z must be (n-s) x n for C of shape n x s")
-    full_s = range(s)
-    full_ns = range(n - s)
+    # det(C_{I,[s]}) and det(Z_{[n-s],I^c}) as maximal minors of C^T and Z
+    c_rows, c_scales = integer_rows(C.transpose())
+    z_rows, z_scales = integer_rows(Z)
+    c_minors, c_den = maximal_minors(c_rows), prod(c_scales)
+    z_minors, z_den = maximal_minors(z_rows), prod(z_scales)
     delta = None
     checks = []
     for I in combinations(range(n), s):
-        lhs = det(C.submatrix(I, full_s))
-        Ic = [i for i in range(n) if i not in I]
-        rhs = permutation_sign_tau(I, n) * det(Z.submatrix(full_ns, Ic))
+        lhs = Fraction(c_minors.get(I, 0), c_den)
+        Ic = tuple(i for i in range(n) if i not in I)
+        rhs = permutation_sign_tau(I, n) * Fraction(z_minors.get(Ic, 0), z_den)
         checks.append((I, lhs, rhs))
         if delta is None and lhs != 0:
             if rhs == 0:

@@ -24,7 +24,7 @@ from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceede
 from signject.feasibility import feasible_sign_pair
 from signject.matroid import matroid_vectors
 from signject.oracle import cofactor_det, naive_symbolic_gamma_det
-from signject.ratmat import RationalMatrix, rank
+from signject.ratmat import RationalMatrix, det, rank, rref
 from signject.signs import SignVector
 
 M = RationalMatrix
@@ -383,6 +383,50 @@ def test_monotone_in_subset(rnd):
     C = M([[Fraction(rnd.randint(-2, 2))] for _ in range(n)])
     sub = Subspace(C=C)
     assert check_injectivity(A, B, sub).injective
+
+
+def _invertible(rnd, k):
+    while True:
+        G = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(k)])
+        if det(G) != 0:
+            return G
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_subspace_verdicts_keep_the_symmetries(rnd):
+    """The verdict depends only on sigma(ker A), sigma(S) and the sign pairs
+    (sigma(Bv), sigma(v)), so neither relabelling the reactions (one
+    permutation of A's columns and B's rows) nor A -> GA with G invertible
+    changes it. The det polynomial of (A', B, Z) keeps each coefficient under
+    the relabelling, at its relabelled J, and is scaled by det H under
+    A' -> HA', so its sign set is kept or, for det H < 0, negated."""
+    m, n = rnd.randint(1, 3), rnd.randint(1, 3)
+    r = rnd.randint(m, 5)
+    A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
+    B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
+    R, pivots = rref(A)
+    s = len(pivots)
+    dim = s if s <= n and rnd.random() < 0.7 else rnd.randint(1, n)
+    C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(dim)] for _ in range(n)])
+    if s == 0 or rank(C) < dim:
+        return
+    S_ = Subspace(C=C)
+    perm = rnd.sample(range(r), r)
+    relabelled = (M([[row[q] for q in perm] for row in A.entries]), M([B.row(q) for q in perm]))
+    G = _invertible(rnd, m)
+    injective = check_injectivity(A, B, S_).injective
+    assert check_injectivity(*relabelled, S_).injective == injective
+    assert check_injectivity(G @ A, B, S_).injective == injective
+    if dim != s:
+        return
+    Aprime, Z = M(R.entries[:s]), S_.kernel_presentation()
+    terms = gamma_det_poly(Aprime, B, Z).terms
+    at = {q: j for j, q in enumerate(perm)}  # the new index of old reaction q
+    assert gamma_det_poly(M([[row[q] for q in perm] for row in Aprime.entries]), relabelled[1], Z).terms == \
+        {(I, tuple(sorted(at[q] for q in J))): c for (I, J), c in terms.items()}
+    H = _invertible(rnd, s)
+    assert gamma_det_poly(H @ Aprime, B, Z).terms == {key: det(H) * c for key, c in terms.items()}
 
 
 # -- nogoods in the (mu, tau) sweep ---------------------------------------------

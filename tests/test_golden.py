@@ -31,11 +31,11 @@ pool's.
 
 The corpus includes ``minors`` and ``gamma-det`` on the dual futile cycle
 (9 species, 12 reactions), with the inputs ``crn preclude`` builds from it;
-``test_dual_minors_determinant_count`` pins how many integer determinants
-``check_minors`` takes there. It also includes the five ``crn special`` calls
-of the benchmark's ``crn_minors`` workload: the futile cycle and the two-site
-network, each with M = N^T and M = V_3, and ``bench/networks/pair.txt`` with
-M = (1, -1).
+``test_dual_minors_table_count`` pins how many tables of minors
+``check_minors`` builds there, and how many terms they expand. It also
+includes the five ``crn special`` calls of the benchmark's ``crn_minors``
+workload: the futile cycle and the two-site network, each with M = N^T and
+M = V_3, and ``bench/networks/pair.txt`` with M = (1, -1).
 
 After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -48,6 +48,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import jsonschema
@@ -481,27 +482,107 @@ def test_golden_output_under_optimize(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-# integer determinants check_minors takes on the dual futile cycle at s = 6: the
-# Cauchy-Binet factors of Atilde (det(C_I) for all 84 I, det(R_J) for all 924 J)
-# and one det(B_{J,I}) per pair with two nonzero factors. Two determinants for
-# each of the 77,616 pairs would be 155,232.
-DUAL_MINORS_DETERMINANTS = 6624
+# maximal_minors tables check_minors builds on the dual futile cycle at s = 6:
+# det(R_J) (144 of the 924 J nonzero), det(C_I) (39 of the 84 I nonzero), and
+# one table of det(B_{J,I}) for each of those 39 I. Without the skip of the 45
+# I with det(C_I) = 0 there would be 86 tables. The per-pair scan
+# (``per_pair_products``) takes 6,624 integer determinants here.
+DUAL_MINORS_TABLES = 41
+# the Laplace terms those tables expand (``laplace_terms``)
+DUAL_MINORS_LAPLACE_TERMS = 1416
 
 
-def test_dual_minors_determinant_count(monkeypatch):
+def laplace_terms(rows, _minors=ratmat.maximal_minors):
+    """The terms maximal_minors sums on a list of integer rows: for each t, one
+    per nonzero minor of the first t rows and nonzero entry of row t outside
+    its columns."""
+    return sum(sum(1 for j, a in enumerate(row) if a and j not in K)
+               for t, row in enumerate(rows) for K in _minors(rows[:t]))
+
+
+def test_dual_minors_table_count(monkeypatch):
     """A lost zero-factor skip shows as a count, on any machine."""
-    calls = [0]
+    tables = []
 
-    def counting(grid, _det=ratmat.integer_det):
-        calls[0] += 1
-        return _det(grid)
+    def counting(rows, _minors=ratmat.maximal_minors):
+        tables.append([list(row) for row in rows])
+        return _minors(rows)
 
-    for module in (ratmat, engine):
-        monkeypatch.setattr(module, "integer_det", counting)
+    monkeypatch.setattr(engine, "maximal_minors", counting)
     Atilde, _, V, _ = subspace_route_inputs(DUAL)
     holds, _ = engine.check_minors(Atilde, V, 6)
     assert not holds
-    assert calls[0] == DUAL_MINORS_DETERMINANTS
+    assert len(tables) == DUAL_MINORS_TABLES
+    assert sum(map(laplace_terms, tables)) == DUAL_MINORS_LAPLACE_TERMS
+
+
+def per_pair_products(Atilde, B, s):
+    """``engine._paired_products`` for rank Atilde = s, pair by pair: one
+    ``integer_det`` per Cauchy-Binet factor and one per pair with two nonzero
+    factors."""
+    n, r = Atilde.rows, Atilde.cols
+    a_rows, a_scales = ratmat.integer_rows(Atilde)
+    _, P, Q, d = ratmat.integer_rref(a_rows)
+    assert len(Q) == s
+    b_rows, b_scales = ratmat.integer_rows(B)
+    sign_d = 1 if d > 0 else -1
+    r_minors = [(J, sign_d * m, prod(b_scales[j] for j in J)) for J in itertools.combinations(range(r), s)
+                if (m := ratmat.integer_det([[a_rows[p][j] for j in J] for p in P]))]
+    for I in itertools.combinations(range(n), s):
+        c = ratmat.integer_det([[a_rows[i][q] for q in Q] for i in I])
+        if c == 0:
+            continue
+        den = abs(d) * prod(a_scales[i] for i in I)
+        for J, m, b_scale in r_minors:
+            b = ratmat.integer_det([[b_rows[j][i] for i in I] for j in J])
+            if b:
+                yield I, J, c * m * b, den * b_scale
+
+
+def per_pair_det_poly(Aprime, B, Z):
+    """``engine.gamma_det_poly``'s terms, pair by pair: one ``det`` per J and
+    per I^c, and one ``integer_det`` per (I, J)."""
+    s, r, n = Aprime.rows, Aprime.cols, B.cols
+    b_rows, b_scales = ratmat.integer_rows(B)
+    a_minors = [(J, m) for J in itertools.combinations(range(r), s)
+                if (m := ratmat.det(Aprime.submatrix(range(s), J))) != 0]
+    terms = {}
+    for I in itertools.combinations(range(n), s):
+        Ic = [i for i in range(n) if i not in I]
+        z_minor = Fraction(1) if Z is None else ratmat.det(Z.submatrix(range(n - s), Ic))
+        if z_minor == 0:
+            continue
+        for J, a_minor in a_minors:
+            b = ratmat.integer_det([[b_rows[j][i] for i in I] for j in J])
+            if b:
+                terms[(I, J)] = ratmat.permutation_sign_tau(I, n) * z_minor * a_minor * \
+                    Fraction(b, prod(b_scales[j] for j in J))
+    return terms
+
+
+def dense_route_inputs(seed, n=7, s=6, r=12):
+    """(Atilde = C A', A', B, Z) with every entry a/1 or a/2, a in -3..3: A'
+    is s x r, C is n x s, B is r x n, Z is a Gale dual of C; A' and C have
+    rank s."""
+    rnd = random.Random(seed)
+    Aprime, C, B = (RationalMatrix([[Fraction(rnd.randint(-3, 3), rnd.choice((1, 1, 2))) for _ in range(cols)]
+                                    for _ in range(rows)]) for rows, cols in ((s, r), (n, s), (r, n)))
+    assert rank(Aprime) == rank(C) == s
+    return C @ Aprime, Aprime, B, ratmat.gale_dual(C)
+
+
+@pytest.mark.parametrize("name", ["dual", "twosite", "dense"])
+def test_minor_tables_match_the_per_pair_scan(name):
+    """Every product of the minors route and every term of the det polynomial,
+    in order, is the one the per-pair determinants give."""
+    Atilde, Aprime, V, Z = {"dual": lambda: subspace_route_inputs(DUAL),
+                            "twosite": lambda: subspace_route_inputs(TWOSITE),
+                            "dense": lambda: dense_route_inputs(0)}[name]()
+    s = Aprime.rows
+    products = list(engine._paired_products(Atilde, V, s))
+    assert products and products == list(per_pair_products(Atilde, V, s))
+    terms = engine.gamma_det_poly(Aprime, V, Z).terms
+    assert terms and list(terms.items()) == list(per_pair_det_poly(Aprime, V, Z).items())
 
 
 def test_route_pool_golden(tmp_path, capsys):

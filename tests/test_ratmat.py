@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from signject.ratmat import (
     integer_rows,
     integer_rref,
     kernel_basis,
+    maximal_minors,
     parse_rational,
     permutation_sign_tau,
     rank,
@@ -191,6 +193,37 @@ def test_kernel_identity(rows, cols, rnd):
     assert K.cols == cols - rank(A)
     for j in range(K.cols):
         assert all(v == 0 for v in A.apply(K.column(j)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.sampled_from(["k = 0", "k = 1", "k = r", "any k"]),
+    st.sampled_from(["dense", "sparse"]),
+    st.sampled_from(["as drawn", "zero row", "repeated column"]),
+    st.randoms(use_true_random=False),
+)
+@example(0, "k = 0", "dense", "as drawn", Random(0))
+@example(5, "k = r", "dense", "as drawn", Random(0))
+@example(3, "any k", "sparse", "as drawn", Random(0))
+def test_maximal_minors_match_cofactor(r, k_case, density, variant, rnd):
+    """maximal_minors of a 0/±1 matrix (k <= 5, for the cofactor oracle) is
+    det(M_{:,J}) on every column subset J in lexicographic order, with exactly
+    the zero minors left out: none when k > r, and the empty minor 1 when k = 0."""
+    k = {"k = 0": 0, "k = 1": 1, "k = r": min(r, 5), "any k": rnd.randint(0, 5)}[k_case]
+    nonzero = (1, -1) if density == "dense" else (1, -1, 0, 0, 0, 0)
+    rows = [[rnd.choice(nonzero) for _ in range(r)] for _ in range(k)]
+    if variant == "zero row" and k:
+        rows[rnd.randrange(k)] = [0] * r
+    elif variant == "repeated column" and r > 1:
+        j, l = rnd.sample(range(r), 2)
+        for row in rows:
+            row[l] = row[j]
+    minors = {J: m for J in combinations(range(r), k)
+              if (m := cofactor_det(M(rows, k, r).submatrix(range(k), J))) != 0}
+    got = maximal_minors(rows)
+    assert list(got.items()) == list(minors.items())
+    assert all(type(m) is int for m in got.values())
 
 
 def test_permutation_sign_tau():
