@@ -9,10 +9,13 @@ determinant, and is behind ``rref`` (so ``rank``, ``kernel_basis``,
 scan in ``engine``. ``integer_det``, the same elimination run forward only, is
 behind ``det`` and the cocircuit normals in ``matroid``. ``maximal_minors``
 gives every nonzero maximal minor of an integer matrix in one Laplace
-expansion, row by row; the paired-minor scan (at rank s) and the det-polynomial
-scan in ``engine``, and ``verify_gale_relation``, read every minor from such
-tables. ``integer_monomial`` is the one exact x^B: the steady-state grid in
-``crn`` and the integral-B sampling oracle evaluate their monomials with it.
+expansion, row by row, of its echelon form (``integer_echelon``, that
+elimination forward only on a k x r matrix), so that no intermediate level
+holds more minors than the table; the paired-minor scan (at rank s) and the
+det-polynomial scan in ``engine``, and ``verify_gale_relation``, read every
+minor from such tables. ``integer_monomial`` is the one exact x^B: the
+steady-state grid in ``crn`` and the integral-B sampling oracle evaluate
+their monomials with it.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -294,33 +297,76 @@ def integer_det(grid) -> int:
     return sign * grid[0][0]
 
 
+def integer_echelon(grid):
+    """(rows, e) for a k x r integer matrix M of rank k, given as a list of
+    rows: rows = E M in echelon form, row t's first nonzero entry left of row
+    t + 1's, and e = det(E) != 0. None if rank M < k.
+
+    Fraction-free elimination run forward only, as in ``integer_det``. Each
+    step scales every row below the pivot by the pivot over the previous one,
+    so e is the product of the previous pivot at each step, signed by the row
+    swaps. A row with a zero in the pivot column is only scaled.
+    """
+    rows = [list(row) for row in grid]
+    e = prev = 1
+    t = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if t == len(rows):
+            break
+        for i in range(t, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != t:
+            rows[t], rows[i] = rows[i], rows[t]
+            e = -e
+        pivot, p = rows[t], rows[t][c]
+        rows[t + 1:] = [[(p * a - row[c] * b) // prev for a, b in zip(row, pivot)] if row[c]
+                        else row if p == prev else [p * a // prev for a in row] for row in rows[t + 1:]]
+        e *= prev
+        prev = p
+        t += 1
+    if t < len(rows):
+        return None
+    return rows, e
+
+
 def maximal_minors(rows) -> dict:
     """{J: det(M_{:,J})} for a k x r integer matrix M, given as a list of rows:
     one entry per column subset J (a sorted tuple, in lexicographic order) whose
     k x k minor is nonzero. With no rows, the one minor is the empty one, 1.
 
-    Laplace expansion row by row: the minors of the first t + 1 rows are summed
-    from those of the first t, each one times a nonzero entry of row t outside
-    its columns, so every smaller minor is computed once and used by all its
-    extensions, and zero minors and zero entries cost nothing. A column set is
-    a bitmask while it grows.
+    ``integer_echelon`` gives U = E M, so det(M_J) = det(U_J) / det(E), an
+    exact division; if rank M < k, every minor is 0. The minors of U come from
+    Laplace expansion row by row, from the last row up: the minors of rows
+    t..k-1 are summed from those of rows t+1..k-1, each one times a nonzero
+    entry of row t outside its columns, so every smaller minor is computed
+    once and used by all its extensions, and zero minors and zero entries cost
+    nothing. Rows t..k-1 of U are zero left of row t's first nonzero entry, so
+    their nonzero minors lie on k - t of at most r - t columns: at most
+    C(r - t, k - t) <= C(r, k) of them. No level outgrows the table, whether k
+    is small or close to r. A column set is a bitmask while it grows.
     """
+    echelon = integer_echelon(rows)
+    if echelon is None:
+        return {}
+    U, e = echelon
     level = {0: 1}
-    for t, row in enumerate(rows):
-        # in the minor on K + j, the entry of row t at column j stands at row t
-        # and at column |{k in K: k < j}|, which give its cofactor's sign
+    for row in reversed(U):
+        # in the minor on K + j, this row is the first, and its entry at
+        # column j stands at column |{k in K: k < j}|, which gives its
+        # cofactor's sign
         entries = [(a, 1 << j) for j, a in enumerate(row) if a]
         grown = {}
         for K, m in level.items():
             for a, bit in entries:
                 if not K & bit:
-                    odd = (t + (K & (bit - 1)).bit_count()) & 1
+                    odd = (K & (bit - 1)).bit_count() & 1
                     grown[K | bit] = grown.get(K | bit, 0) + (-a * m if odd else a * m)
         level = {K: m for K, m in grown.items() if m}
-        if not level:
-            break
     width = max(map(int.bit_length, level), default=0)
-    return dict(sorted((tuple(j for j in range(width) if K >> j & 1), m) for K, m in level.items()))
+    return dict(sorted((tuple(j for j in range(width) if K >> j & 1), m // e) for K, m in level.items()))
 
 
 def integer_rows(M: RationalMatrix):

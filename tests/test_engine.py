@@ -1,6 +1,8 @@
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,23 @@ def test_birch_always_injective():
     A = M([[1, 2, 0], [3, 4, 1]])
     v = check_injectivity(A, A.transpose(), FullSpace())
     assert v.injective
+
+
+def test_dense_full_space_decides_in_one_pair():
+    """With m = n = r = 20 the paired-minor scan has one pair, I = J = [20],
+    and its product is det(A) det(B). Each table of minors is a 20 x 20
+    matrix, which a Laplace expansion of M's own rows would grow through
+    C(20, 10) column sets; the scan finishes in milliseconds."""
+    rnd = Random(20)
+    A = M([[rnd.randint(-5, 5) for _ in range(20)] for _ in range(20)])
+    B = M([[rnd.randint(-5, 5) for _ in range(20)] for _ in range(20)])
+    start = time.process_time()
+    v = check_injectivity(A, B, FullSpace())
+    assert time.process_time() - start < 5
+    assert v.injective and v.method == "minors"
+    witness = v.certificate["nonzero_witness"]
+    assert witness["I"] == witness["J"] == tuple(range(20))
+    assert witness["product"] == det(A) * det(B) != 0
 
 
 def test_full_space_counterexample():

@@ -47,8 +47,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import jsonschema
@@ -489,15 +490,20 @@ def test_golden_output_under_optimize(name, tmp_path):
 # (``per_pair_products``) takes 6,624 integer determinants here.
 DUAL_MINORS_TABLES = 41
 # the Laplace terms those tables expand (``laplace_terms``)
-DUAL_MINORS_LAPLACE_TERMS = 1416
+DUAL_MINORS_LAPLACE_TERMS = 1599
 
 
 def laplace_terms(rows, _minors=ratmat.maximal_minors):
-    """The terms maximal_minors sums on a list of integer rows: for each t, one
-    per nonzero minor of the first t rows and nonzero entry of row t outside
-    its columns."""
+    """The terms maximal_minors sums on a list of integer rows: with U their
+    ``integer_echelon`` form, for each t one per nonzero minor of rows t+1..
+    of U and nonzero entry of row t outside its columns; none if the rows
+    are dependent."""
+    echelon = ratmat.integer_echelon(rows)
+    if echelon is None:
+        return 0
+    U = echelon[0]
     return sum(sum(1 for j, a in enumerate(row) if a and j not in K)
-               for t, row in enumerate(rows) for K in _minors(rows[:t]))
+               for t, row in enumerate(U) for K in _minors(U[t + 1:]))
 
 
 def test_dual_minors_table_count(monkeypatch):
@@ -514,6 +520,24 @@ def test_dual_minors_table_count(monkeypatch):
     assert not holds
     assert len(tables) == DUAL_MINORS_TABLES
     assert sum(map(laplace_terms, tables)) == DUAL_MINORS_LAPLACE_TERMS
+
+
+@pytest.mark.parametrize("k, r", [(20, 20), (20, 21), (20, 22), (2, 22)])
+def test_near_square_tables_stay_small(k, r):
+    """A dense k x r table, k close to r (C^T and Z of a 22 x 20 Gale pair,
+    the full-space scan's tables): every minor is the per-subset
+    ``integer_det``, and the expansion sums at most k r C(r, k) terms, in
+    milliseconds. An expansion of the first rows of M itself would pass
+    through C(r, r/2) column sets, for tens of seconds."""
+    rnd = random.Random(k * r)
+    rows = [[rnd.randint(-5, 5) for _ in range(r)] for _ in range(k)]
+    start = time.process_time()
+    got = ratmat.maximal_minors(rows)
+    assert time.process_time() - start < 2
+    minors = {J: m for J in itertools.combinations(range(r), k)
+              if (m := ratmat.integer_det([[row[j] for j in J] for row in rows]))}
+    assert minors and got == minors
+    assert laplace_terms(rows) <= k * r * comb(r, k)
 
 
 def per_pair_products(Atilde, B, s):

@@ -270,6 +270,17 @@ def test_gale_relation_property(n, rnd):
     assert delta != 0
 
 
+def test_gale_relation_near_square():
+    """A dense 22 x 20 C: the relation holds on all C(22, 20) = 231 I, with
+    the delta of the first I."""
+    rnd = Random(22)
+    C = M([[rnd.randint(-5, 5) for _ in range(20)] for _ in range(22)])
+    Z = gale_dual(C)
+    I = tuple(range(20))
+    delta = permutation_sign_tau(I, 22) * det(Z.submatrix(range(2), (20, 21))) / det(C.submatrix(I, range(20)))
+    assert verify_gale_relation(C, Z) == delta
+
+
 def test_rref_idempotent():
     A = M([[2, 4, 1], [1, 2, 3]])
     R, pivots = rref(A)
