@@ -6,12 +6,16 @@ ground-set vectors. Cocircuits come from integer hyperplane normals (signed
 composition closure. Every covector is a conformal composition of
 cocircuits, so the closure composes each covector only with the cocircuits
 conformal to it, tracked as bitmasks over cocircuit indices: its cost is the
-number of such pairs, not |covectors| x |cocircuits|. Sign sets stay
-(pos, neg) bitmask pairs up to the public functions, which build their sorted
-SignVector tuples once, at the end. The closure can be exponential in r
-(3^r covectors on r coordinate vectors), so it raises ``TooLarge`` when r
-exceeds ``GROUND_SET_GUARD`` or once it holds more than ``COVECTOR_BUDGET``
-covectors.
+number of such pairs, not |covectors| x |cocircuits|. The intersection
+sigma(ker M) ∩ sigma(im C) closes ker M only: by oriented-matroid duality
+the sign vectors of im C are those orthogonal to the circuits of
+im(C)^perp = ker(C^T), so the closed covectors are filtered by those
+circuits, taken as cocircuits of a basis of ker(C^T). Sign sets stay
+(pos, neg) bitmask pairs up to the public functions, which build their
+sorted SignVector tuples once, at the end. The closure can be exponential
+in r (3^r covectors on r coordinate vectors), so it raises ``TooLarge``
+when r exceeds ``GROUND_SET_GUARD`` or once it holds more than
+``COVECTOR_BUDGET`` covectors.
 """
 from __future__ import annotations
 
@@ -175,11 +179,32 @@ def common_sign_vectors(M: RationalMatrix, C: RationalMatrix):
 
     Empty iff ker(M) and im(C) share no nonzero orthant: the sign condition
     behind injectivity, at most one positive solution and unique special
-    steady states. Only the shared vectors become SignVectors.
+    steady states. By oriented-matroid duality (Bland & Las Vergnas 1978),
+    sigma(W) is the set of sign vectors orthogonal to every circuit of W^perp,
+    that is, to every cocircuit of a basis of W^perp. So only ker M is closed,
+    and its covectors are kept when orthogonal to the circuits of
+    ker(C^T) = im(C)^perp. X and Y are orthogonal iff they agree in sign on
+    some coordinate exactly when they disagree on another; that holds for Y
+    iff it holds for -Y, so each +/- pair of circuits is tested once. Only the
+    shared vectors become SignVectors.
     """
     if M.cols != C.rows:
         raise ShapeMismatch("M must have one column per row of C")
-    shared = _span_masks(kernel_basis(M)) & _span_masks(column_basis(C))
-    shared.discard((0, 0))
+    kernel = kernel_basis(M)
+    if not kernel.cols:
+        return ()
+    complement = kernel_basis(C.transpose())
+    if complement.cols == C.rows:  # im C = {0}
+        return ()
+    closed = _span_masks(kernel)
+    circuits = {min(y, y[::-1]) for y in _cocircuit_masks(complement.transpose())}
+    shared = []
+    for pos, neg in closed:
+        for p, q in circuits:
+            # coordinates of the same sign and of opposite signs: both or neither
+            if ((pos & p) | (neg & q) == 0) != ((pos & q) | (neg & p) == 0):
+                break
+        else:
+            if pos or neg:
+                shared.append((pos, neg))
     return _sign_vectors(shared, M.cols)
-

@@ -15,7 +15,9 @@ holds more minors than the table; the paired-minor scan (at rank s) and the
 det-polynomial scan in ``engine``, and ``verify_gale_relation``, read every
 minor from such tables. ``integer_monomial`` is the one exact x^B: the
 steady-state grid in ``crn`` and the integral-B sampling oracle evaluate
-their monomials with it.
+their monomials with it. The matrix product also runs on integer rows: the
+integer dot products of the rows of one factor with the columns of the other,
+over their scales.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -124,13 +126,16 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # row i of self is rows[i] / s_i and column j of other is columns[j] / t_j,
+        # so entry (i, j) is their integer dot product over s_i * t_j
+        rows, row_scales = integer_rows(self)
+        columns, column_scales = integer_rows(other.transpose())
+        # only a row's nonzero entries add to its dot products
+        terms = [[(k, a) for k, a in enumerate(row) if a] for row in rows]
         return RationalMatrix(
             [
-                [
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
+                [Fraction(sum(a * column[k] for k, a in row), s * t) for column, t in zip(columns, column_scales)]
+                for row, s in zip(terms, row_scales)
             ],
             self.rows,
             other.cols,

@@ -148,8 +148,9 @@ def test_crn_commands(tmp_path, capsys):
 
 
 def test_crn_special_makes_one_intersection(tmp_path, capsys, monkeypatch):
-    """A non-unique `crn special` runs the covector closure once for ker M and
-    once for im N: the unique verdict and the witness share one intersection."""
+    """A non-unique `crn special` runs the covector closure once, for ker M:
+    the unique verdict and the witness share one intersection, and im N
+    enters only through its circuits."""
     import signject.matroid as matroid
 
     calls = []
@@ -163,7 +164,7 @@ def test_crn_special_makes_one_intersection(tmp_path, capsys, monkeypatch):
     m = write(tmp_path, "M.json", M([[1, -1]]))
     code, payload, _ = run_cli(["crn", "special", str(net), "--M", m], capsys)
     assert code == 3 and payload["unique"] is False and payload["witness"]["rho"] == "--"
-    assert calls == ["_span_masks", "_covector_masks"] * 2
+    assert calls == ["_span_masks", "_covector_masks"]
 
 
 def test_oracle_commands(tmp_path, capsys):

@@ -35,7 +35,9 @@ The corpus includes ``minors`` and ``gamma-det`` on the dual futile cycle
 ``check_minors`` builds there, and how many terms they expand. It also
 includes the five ``crn special`` calls of the benchmark's ``crn_minors``
 workload: the futile cycle and the two-site network, each with M = N^T and
-M = V_3, and ``bench/networks/pair.txt`` with M = (1, -1).
+M = V_3, and ``bench/networks/pair.txt`` with M = (1, -1); and ``crn special``
+on the dual futile cycle with M = N^T and M = V_3, whose kernel and image
+share 228 nonzero sign vectors.
 
 After a deliberate change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -59,6 +61,7 @@ from signject import engine, ratmat
 from signject.cli import build_parser, main
 from signject.crn import parse_network, stoichiometry
 from signject.engine import FullSpace, OrthantUnion, Subspace
+from signject.matroid import common_sign_vectors
 from signject.oracle import sampled_injectivity_search
 from signject.ratmat import RationalMatrix, rank, rref
 from signject.signs import SignVector
@@ -122,6 +125,7 @@ def special_inputs(text):
 
 FUTILE_NT, FUTILE_V3 = special_inputs(FUTILE)
 TWOSITE_NT, TWOSITE_V3 = special_inputs(TWOSITE)
+DUAL_NT, DUAL_V3 = special_inputs(DUAL)
 # bench/networks/pair.txt, comment line included
 PAIR_FILE = "# S = span{(1, 1)}: with M = (1, -1), the pair of acceptance criterion 11.\n" + PAIR
 # bench/networks/dual.txt as it is: the DUAL network behind a comment
@@ -228,6 +232,12 @@ CASES = [
      ["crn", "special", "{net}", "--M", "{M}"], {"net": TWOSITE, "M": TWOSITE_V3}, 3),
     ("crn_special_pair",
      ["crn", "special", "{net}", "--M", "{M}"], {"net": PAIR_FILE, "M": ONE_MINUS_ONE}, 3),
+    # the dual futile cycle: ker N^T and im N meet only in 0, ker V_3 and
+    # im N share 228 nonzero sign vectors, of which the witness takes the first
+    ("crn_special_dual_nt",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": DUAL_FILE, "M": DUAL_NT}, 0),
+    ("crn_special_dual_v3",
+     ["crn", "special", "{net}", "--M", "{M}"], {"net": DUAL_FILE, "M": DUAL_V3}, 3),
     ("oracle_sign_set",
      ["oracle", "sign-set", "--M", "{M}", "--mode", "image"], {"M": CONFIG}, 0),
     ("oracle_gamma",
@@ -504,6 +514,21 @@ def laplace_terms(rows, _minors=ratmat.maximal_minors):
     U = echelon[0]
     return sum(sum(1 for j, a in enumerate(row) if a and j not in K)
                for t, row in enumerate(U) for K in _minors(U[t + 1:]))
+
+
+# the count and sha256 of the space-joined shared sign vectors of ker V_3 and
+# im N on the dual futile cycle, as the two-closure intersection gave them
+DUAL_V3_SHARED = (228, "81d465bdf3d64a7b12e44ba5704dee9a0ed077cb74ae20e982f3befb905b3ff6")
+
+
+def test_dual_special_intersections():
+    """The whole intersections behind the two dual `crn special` goldens, whose
+    bytes show only the first shared vector."""
+    N, V = stoichiometry(parse_network(DUAL))
+    C = Subspace(C=N).image_presentation()
+    assert common_sign_vectors(N.transpose(), C) == ()
+    shared = common_sign_vectors(RationalMatrix(V.entries[:3]), C)
+    assert (len(shared), hashlib.sha256(" ".join(map(str, shared)).encode()).hexdigest()) == DUAL_V3_SHARED
 
 
 def test_dual_minors_table_count(monkeypatch):

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signject import matroid
+from signject.crn import parse_network, stoichiometry
 from signject.descartes import check_ex
 from signject.errors import RankDeficient, ShapeMismatch, TooLarge
 from signject.matroid import (
@@ -17,7 +19,7 @@ from signject.matroid import (
     matroid_vectors,
 )
 from signject.oracle import brute_force_sign_set
-from signject.ratmat import RationalMatrix, rank
+from signject.ratmat import RationalMatrix, column_basis, kernel_basis, rank
 from signject.signs import SignVector, compose, orthogonal, sigma
 
 M = RationalMatrix
@@ -95,6 +97,23 @@ def test_too_large_guard():
     wide = M([[1] * 17])
     with pytest.raises(TooLarge):
         covectors(wide)
+    # the intersection closes ker M, so the guard applies when both sides are nonzero
+    with pytest.raises(TooLarge):
+        common_sign_vectors(M.zeros(1, 17), M([[1]] * 17))
+    # a side {0} gives () with nothing enumerated
+    assert common_sign_vectors(M.identity(17), M([[1]] * 17)) == ()
+    assert common_sign_vectors(M.zeros(1, 17), M.zeros(17, 1)) == ()
+
+
+def test_only_the_kernel_closure_meets_the_budget(monkeypatch):
+    """im C = R^7 has 3^7 covectors, past a budget of 1,000, but only the line
+    ker M is closed, and R^7 has no circuits to test it by. ker M = R^7 is
+    closed, so it meets the budget."""
+    monkeypatch.setattr(matroid, "COVECTOR_BUDGET", 1000)
+    chain = M([[1 if j == i else -1 if j == i + 1 else 0 for j in range(7)] for i in range(6)])
+    assert common_sign_vectors(chain, M.identity(7)) == (S("-" * 7), S("+" * 7))
+    with pytest.raises(TooLarge):
+        common_sign_vectors(M.zeros(1, 7), M([[1]] * 7))
 
 
 def fractional_configuration(rnd, max_n, max_r):
@@ -264,3 +283,123 @@ def test_chirotope_column_permutation(rnd):
     for subset, s in chi_b.signs.items():
         orig = tuple(sorted(perm[j] for j in subset))
         assert abs(s) == abs(chi_a.signs[orig])
+
+
+def two_closure_intersection(A, C):
+    """sigma(ker A) ∩ sigma(im C) minus 0 by closing both sides and intersecting:
+    the reference for the one closure and circuit filter of ``common_sign_vectors``."""
+    shared = matroid._span_masks(kernel_basis(A)) & matroid._span_masks(column_basis(C))
+    shared.discard((0, 0))
+    return matroid._sign_vectors(shared, A.cols)
+
+
+def draw_matrix(rnd, rows, cols, sparse=False):
+    values = (0, 0, 0, 1, -1, 2) if sparse else (-3, -2, -1, 0, 1, 2, 3)
+    return M([[Fraction(rnd.choice(values), rnd.randint(1, 3)) for _ in range(cols)] for _ in range(rows)],
+             rows, cols)
+
+
+def appending(rnd, k):
+    """[I_k | h] for a random integer h: X @ it is X with the column X h appended."""
+    return M([[1 if i == j else 0 for j in range(k)] + [rnd.randint(-2, 2)] for i in range(k)], k, k + 1)
+
+
+def invertible(rnd, n):
+    """A random invertible n x n rational matrix: unit lower times nonzero-diagonal upper triangular."""
+    L = M([[1 if i == j else (Fraction(rnd.randint(-2, 2)) if j < i else 0) for j in range(n)] for i in range(n)])
+    U = M([[Fraction(rnd.choice((-3, -1, 1, 2)), rnd.randint(1, 3)) if i == j else
+            (Fraction(rnd.randint(-2, 2)) if j > i else 0) for j in range(n)] for i in range(n)])
+    return L @ U
+
+
+SHARED_KINDS = ("dense", "sparse", "dependent", "zero_M", "zero_C", "full_C",
+                "thin_kernel", "thin_image")
+
+
+def shared_instance(kind, rnd):
+    """(M, C) over r <= 8 coordinates for one kind of `common_sign_vectors` input."""
+    r = rnd.randint(1, 8)
+    m, k = rnd.randint(0, r + 1), rnd.randint(0, r + 1)
+    if kind == "thin_kernel":  # dim ker M <= 2 < rank C, few circuits, most draws
+        m, k = max(r - rnd.randint(0, 2), 0), r - rnd.randint(0, 1)
+    elif kind == "thin_image":  # rank C <= 2 < dim ker M, many circuits, most draws
+        m, k = rnd.randint(0, max(r - 3, 0)), rnd.randint(1, 2)
+    A = draw_matrix(rnd, m, r, sparse=kind == "sparse")
+    C = draw_matrix(rnd, r, k, sparse=kind == "sparse")
+    if kind == "dependent":  # a last row of M and a last column of C that depend on the others
+        A, C = appending(rnd, m).transpose() @ A, C @ appending(rnd, k)
+    elif kind == "zero_M":  # ker M = R^r
+        A = M.zeros(m, r)
+    elif kind == "zero_C":  # S = {0}
+        C = M.zeros(r, k)
+    elif kind == "full_C":  # S = R^r
+        C = invertible(rnd, r)
+    return A, C
+
+
+@pytest.mark.parametrize("kind", SHARED_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_common_sign_vectors_match_two_closures(kind, rnd):
+    A, C = shared_instance(kind, rnd)
+    if kind == "zero_C":
+        assert rank(C) == 0
+    if kind == "full_C":
+        assert rank(C) == A.cols
+    assert common_sign_vectors(A, C) == two_closure_intersection(A, C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_common_sign_vectors_metamorphic(rnd):
+    """The shared set depends only on ker M and on the orthants of im C: it is
+    the same for GM and CH (G, H invertible), for M and C with positively
+    scaled columns and rows, and it permutes with the coordinates."""
+    A, C = shared_instance(rnd.choice(SHARED_KINDS[:4]), rnd)
+    r = A.cols
+    shared = common_sign_vectors(A, C)
+    assert common_sign_vectors(invertible(rnd, A.rows) @ A, C @ invertible(rnd, C.cols)) == shared
+    scale = [Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(r)]
+    other = [Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in range(r)]
+    A_scaled = M([[a * d for a, d in zip(row, scale)] for row in A.entries], A.rows, r)
+    C_scaled = M([[d * c for c in row] for row, d in zip(C.entries, other)], r, C.cols)
+    assert common_sign_vectors(A_scaled, C_scaled) == shared
+    perm = list(range(r))
+    rnd.shuffle(perm)
+    A_perm = M([[row[p] for p in perm] for row in A.entries], A.rows, r)
+    C_perm = M([C.row(p) for p in perm], r, C.cols)
+    assert common_sign_vectors(A_perm, C_perm) == tuple(sorted(SignVector(v[p] for p in perm) for v in shared))
+
+
+def counting_closures(monkeypatch):
+    """The configurations ``_covector_masks`` closes, as they come."""
+    closed = []
+    conformal = matroid._covector_masks
+    monkeypatch.setattr(matroid, "_covector_masks", lambda B: closed.append(B) or conformal(B))
+    return closed
+
+
+def test_one_closure_on_two_site_network(monkeypatch):
+    """ker N^T (dimension 3) is closed and im N (dimension 5) filters it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "networks" / "twosite.txt"
+    N, _ = stoichiometry(parse_network(path.read_text()))
+    closed = counting_closures(monkeypatch)
+    assert common_sign_vectors(N.transpose(), N) == ()
+    assert [B.rows for B in closed] == [3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_closure_per_call(rnd):
+    """One closure per call, on a basis of ker M, and none when ker M or im C
+    is {0}."""
+    A, C = shared_instance(rnd.choice(SHARED_KINDS), rnd)
+    kernel_dim, image_dim = A.cols - rank(A), rank(C)
+    with pytest.MonkeyPatch.context() as mp:
+        closed = counting_closures(mp)
+        common_sign_vectors(A, C)
+    if not min(kernel_dim, image_dim):
+        assert closed == []
+        return
+    [B] = closed
+    assert B.rows == kernel_dim and (A @ B.transpose()).is_zero()

@@ -117,6 +117,23 @@ def test_det_matches_cofactor(grid, zero_corner):
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_matmul_matches_fraction_sums(m, k, p, rnd):
+    """The product on integer rows gives each entry's Fraction sum, zero
+    entries, zero rows and empty inner dimensions included."""
+    def draw(rows, cols):
+        return M([[Fraction(rnd.choice((0, 0, rnd.randint(-9, 9))), rnd.randint(1, 12)) for _ in range(cols)]
+                  for _ in range(rows)], rows, cols)
+
+    A, B = draw(m, k), draw(k, p)
+    product = A @ B
+    assert (product.rows, product.cols) == (m, p)
+    assert product.entries == tuple(
+        tuple(sum((A[i, t] * B[t, j] for t in range(k)), Fraction(0)) for j in range(p)) for i in range(m))
+    assert all(type(e) is Fraction for row in product.entries for e in row)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.randoms(use_true_random=False))
 def test_integer_rref_matches_rref(rows, cols, rnd):
     """Q is the rref pivot columns, d = det(M_{P,Q}) with P in the order
