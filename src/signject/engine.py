@@ -725,8 +725,10 @@ def _check_subspace_minors(A, Aprime, B, S, prec):
     """dim S = rank A: the minors and det-polynomial routes decide, and a failed
     verdict takes its counterexample from the sign search.
 
-    Aprime is _pivot_rows(A). If the sign search hits its LP budget, the decided
-    verdict is returned with its certificate, no counterexample and a warning.
+    Aprime is _pivot_rows(A). If the sign search hits its pair budget (it decides
+    at most SIGN_SEARCH_LP_BUDGET (mu, tau) pairs, by LP or by nogood), the
+    decided verdict is returned with its certificate, no counterexample and a
+    warning.
     """
     C = S.image_presentation()
     Z = S.kernel_presentation()

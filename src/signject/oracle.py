@@ -1,8 +1,9 @@
 """Independent slow oracles for the test suite and the ``oracle`` subcommands.
 
 Every routine here re-derives a quantity the engine computes, by a different
-algorithm (cofactor expansion, Fourier-Motzkin, brute-force orthant sweeps,
-Leibniz expansion, random sampling). Outside the tests, only the CLI's
+algorithm (cofactor expansion, Fourier-Motzkin on the inequalities left once
+the equalities are substituted away, brute-force orthant sweeps, Leibniz
+expansion, random sampling). Outside the tests, only the CLI's
 ``oracle`` subcommands import this module, when they run; the rest of the
 package never depends on it. Importing it does not load mpmath: only the
 non-integral-B branch of sampled_injectivity_search does, through
@@ -54,22 +55,38 @@ def cofactor_det(M: RationalMatrix) -> Fraction:
 
 
 def fourier_motzkin_feasible(eq_rows, ineq_rows, nvars: int) -> bool:
-    """Decide {E z = 0, A z >= rhs} by variable elimination (nvars <= 6).
+    """Decide {E z = b, A z >= rhs} by variable elimination (nvars <= 6).
 
-    eq_rows and ineq_rows are sequences of (coeffs, rhs) pairs; equalities are
-    rewritten as opposite inequality pairs first.
+    eq_rows and ineq_rows are sequences of (coeffs, rhs) pairs. Each equality
+    is first solved for its first variable with a nonzero coefficient, which is
+    substituted into every other row (exact Gaussian elimination). Before each
+    elimination step, rows that are positive multiples of one coefficient
+    vector are cut to the strongest: scaled to a leading entry of +-1, the one
+    with the largest right-hand side. Without that cut the row count can square
+    at every step.
     """
     if nvars > FM_VARIABLE_LIMIT:
         raise TooLarge(f"Fourier-Motzkin limited to {FM_VARIABLE_LIMIT} variables")
-    rows = []
-    for coeffs, rhs in eq_rows:
-        c = tuple(Fraction(v) for v in coeffs)
-        rows.append((c, Fraction(rhs)))
-        rows.append((tuple(-v for v in c), -Fraction(rhs)))
-    for coeffs, rhs in ineq_rows:
-        rows.append((tuple(Fraction(v) for v in coeffs), Fraction(rhs)))
+    eqs = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in eq_rows]
+    rows = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in ineq_rows]
+    while eqs:
+        c, b = eqs.pop()
+        v = next((j for j, a in enumerate(c) if a), None)
+        if v is None:
+            if b:
+                return False
+            continue
+
+        def substitute(row):
+            coeffs, rhs = row
+            f = coeffs[v] / c[v]
+            return tuple(a - f * e for a, e in zip(coeffs, c)), rhs - f * b
+
+        eqs = list(map(substitute, eqs))
+        rows = list(map(substitute, rows))
 
     for var in range(nvars - 1, -1, -1):
+        rows = _strongest(rows)
         pos = [r for r in rows if r[0][var] > 0]
         neg = [r for r in rows if r[0][var] < 0]
         rest = [r for r in rows if r[0][var] == 0]
@@ -82,6 +99,17 @@ def fourier_motzkin_feasible(eq_rows, ineq_rows, nvars: int) -> bool:
                 combined.append((coeffs, bp / sp + bn / sn))
         rows = rest + combined
     return all(rhs <= 0 for coeffs, rhs in rows)
+
+
+def _strongest(rows):
+    """One row per coefficient vector up to a positive factor, scaled to a
+    leading entry of +-1: the one with the largest right-hand side."""
+    best = {}
+    for coeffs, rhs in rows:
+        lead = abs(next((a for a in coeffs if a), 1))
+        key = tuple(a / lead for a in coeffs)
+        best[key] = max(best.get(key, rhs / lead), rhs / lead)
+    return list(best.items())
 
 
 def fm_strict_feasible(sys: StrictSystem) -> bool:

@@ -4,20 +4,19 @@ Entries are :class:`fractions.Fraction`; nothing here ever rounds.
 ``integer_rows`` clears each row of its denominators, and every elimination
 runs on those integer rows. ``integer_rref`` is one fraction-free
 Gauss-Jordan elimination: it gives the reduced form, the pivots and their
-determinant, and is behind ``rref`` (so ``rank``, ``kernel_basis``,
-``column_basis`` and ``gale_dual``) and the factorization of the paired-minor
-scan in ``engine``. ``integer_det``, the same elimination run forward only, is
-behind ``det`` and the cocircuit normals in ``matroid``. ``maximal_minors``
-gives every nonzero maximal minor of an integer matrix in one Laplace
-expansion, row by row, of its echelon form (``integer_echelon``, that
-elimination forward only on a k x r matrix), so that no intermediate level
-holds more minors than the table; the paired-minor scan (at rank s) and the
-det-polynomial scan in ``engine``, and ``verify_gale_relation``, read every
-minor from such tables. ``integer_monomial`` is the one exact x^B: the
-steady-state grid in ``crn`` and the integral-B sampling oracle evaluate
-their monomials with it. The matrix product also runs on integer rows: the
-integer dot products of the rows of one factor with the columns of the other,
-over their scales.
+determinant, and is behind ``rref`` (so ``kernel_basis``, ``column_basis`` and
+``gale_dual``), ``rank``, ``maximal_minors`` and the factorization of the
+paired-minor scan in ``engine``. ``integer_det``, the same elimination run
+forward only, is behind ``det`` and the cocircuit normals in ``matroid``.
+``maximal_minors`` gives every nonzero maximal minor of an integer matrix in
+one Laplace expansion, row by row, of its reduced form, which is also an
+echelon form, so that no intermediate level holds more minors than the table;
+the paired-minor scan (at rank s) and the det-polynomial scan in ``engine``,
+and ``verify_gale_relation``, read every minor from such tables.
+``integer_monomial`` is the one exact x^B: the steady-state grid in ``crn``
+and the integral-B sampling oracle evaluate their monomials with it. The
+matrix product also runs on integer rows: the integer dot products of the
+rows of one factor with the columns of the other, over their scales.
 Matrices are immutable once constructed.
 """
 from __future__ import annotations
@@ -211,7 +210,8 @@ def rref(M: RationalMatrix):
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(rref(M)[1])
+    """The number of pivots ``integer_rref`` takes on the integer rows of M."""
+    return len(integer_rref(integer_rows(M)[0])[2])
 
 
 def column_basis(C: RationalMatrix) -> RationalMatrix:
@@ -247,11 +247,13 @@ def integer_rref(grid):
     well as below it). Q is the pivot columns of its rref, so len(Q) is the
     rank. P is the rows taken as pivots, in the order taken, and d is
     det(M_{P,Q}) with the rows in that order (1 when the rank is 0).
-    rows[:len(Q)] are d times the nonzero rows of the rref; the others are 0.
+    rows[:len(Q)] are d times the nonzero rows of the rref, an echelon form;
+    the others are 0.
 
     Each step takes the first row not yet taken with a nonzero entry p in the
     column, and every other row becomes (p*a - row[c]*b) // prev, with prev
-    the previous pivot. Every division is exact, and the last pivot is d.
+    the previous pivot, so a row with a zero in the column is only scaled.
+    Every division is exact, and the last pivot is d.
     """
     rows = list(grid)
     order = list(range(len(rows)))  # the input index of each row
@@ -268,8 +270,11 @@ def integer_rref(grid):
         order.insert(t, order.pop(k))
         Q.append(c)
         p = pivot_row[c]
-        rows = [row if i == t else [(p * a - row[c] * b) // prev for a, b in zip(row, pivot_row)]
-                for i, row in enumerate(rows)]
+        for i, row in enumerate(rows):
+            if row[c] and i != t:
+                rows[i] = [(p * a - row[c] * b) // prev for a, b in zip(row, pivot_row)]
+            elif not row[c] and p != prev:
+                rows[i] = [p * a // prev for a in row]
         prev = p
         if t + 1 == len(rows):
             break
@@ -302,61 +307,28 @@ def integer_det(grid) -> int:
     return sign * grid[0][0]
 
 
-def integer_echelon(grid):
-    """(rows, e) for a k x r integer matrix M of rank k, given as a list of
-    rows: rows = E M in echelon form, row t's first nonzero entry left of row
-    t + 1's, and e = det(E) != 0. None if rank M < k.
-
-    Fraction-free elimination run forward only, as in ``integer_det``. Each
-    step scales every row below the pivot by the pivot over the previous one,
-    so e is the product of the previous pivot at each step, signed by the row
-    swaps. A row with a zero in the pivot column is only scaled.
-    """
-    rows = [list(row) for row in grid]
-    e = prev = 1
-    t = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if t == len(rows):
-            break
-        for i in range(t, len(rows)):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        if i != t:
-            rows[t], rows[i] = rows[i], rows[t]
-            e = -e
-        pivot, p = rows[t], rows[t][c]
-        rows[t + 1:] = [[(p * a - row[c] * b) // prev for a, b in zip(row, pivot)] if row[c]
-                        else row if p == prev else [p * a // prev for a in row] for row in rows[t + 1:]]
-        e *= prev
-        prev = p
-        t += 1
-    if t < len(rows):
-        return None
-    return rows, e
-
-
 def maximal_minors(rows) -> dict:
     """{J: det(M_{:,J})} for a k x r integer matrix M, given as a list of rows:
     one entry per column subset J (a sorted tuple, in lexicographic order) whose
     k x k minor is nonzero. With no rows, the one minor is the empty one, 1.
 
-    ``integer_echelon`` gives U = E M, so det(M_J) = det(U_J) / det(E), an
-    exact division; if rank M < k, every minor is 0. The minors of U come from
-    Laplace expansion row by row, from the last row up: the minors of rows
-    t..k-1 are summed from those of rows t+1..k-1, each one times a nonzero
-    entry of row t outside its columns, so every smaller minor is computed
-    once and used by all its extensions, and zero minors and zero entries cost
-    nothing. Rows t..k-1 of U are zero left of row t's first nonzero entry, so
+    ``integer_rref`` gives U = d R for the rref R = M_{:,Q}^-1 M, so
+    det(U_J) = e det(M_J) with e = d^k / det(M_{:,Q}) = sign(P) d^(k-1), and
+    the division by e is exact; if rank M < k, every minor is 0. The minors
+    of U come from Laplace expansion row by row, from the last row up: the
+    minors of rows t..k-1 are summed from those of rows t+1..k-1, each one
+    times a nonzero entry of row t outside its columns, so every smaller minor
+    is computed once and used by all its extensions, and zero minors and zero
+    entries cost nothing. Rows t..k-1 of U are zero left of row t's pivot, so
     their nonzero minors lie on k - t of at most r - t columns: at most
     C(r - t, k - t) <= C(r, k) of them. No level outgrows the table, whether k
     is small or close to r. A column set is a bitmask while it grows.
     """
-    echelon = integer_echelon(rows)
-    if echelon is None:
+    k = len(rows)
+    U, P, Q, d = integer_rref(rows)
+    if len(Q) < k:
         return {}
-    U, e = echelon
+    e = _sign(P) * d ** (k - 1) if k else 1
     level = {0: 1}
     for row in reversed(U):
         # in the minor on K + j, this row is the first, and its entry at
@@ -405,16 +377,15 @@ def det(M: RationalMatrix) -> Fraction:
     return Fraction(integer_det(rows), prod(scales))
 
 
+def _sign(arrangement) -> int:
+    """Sign of the permutation that lists distinct integers in this order."""
+    inversions = sum(1 for a, x in enumerate(arrangement) for y in arrangement[a + 1:] if x > y)
+    return -1 if inversions % 2 else 1
+
+
 def permutation_sign_tau(I, n: int) -> int:
     """Sign of the permutation sending 1..n to (sorted I^c, sorted I), for a sorted tuple I."""
-    arrangement = [i for i in range(n) if i not in I] + list(I)
-    inversions = sum(
-        1
-        for a in range(len(arrangement))
-        for b in range(a + 1, len(arrangement))
-        if arrangement[a] > arrangement[b]
-    )
-    return -1 if inversions % 2 else 1
+    return _sign([i for i in range(n) if i not in I] + list(I))
 
 
 def gale_dual(C: RationalMatrix) -> RationalMatrix:

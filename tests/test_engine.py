@@ -22,7 +22,7 @@ from signject.engine import (
     gamma_det_poly,
 )
 from signject.cli import main
-from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceeded, ShapeMismatch
+from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceeded, ShapeMismatch, TooLarge
 from signject.feasibility import feasible_sign_pair
 from signject.matroid import matroid_vectors
 from signject.oracle import cofactor_det, naive_symbolic_gamma_det
@@ -446,6 +446,63 @@ def test_subspace_verdicts_keep_the_symmetries(rnd):
         {(I, tuple(sorted(at[q] for q in J))): c for (I, J), c in terms.items()}
     H = _invertible(rnd, s)
     assert gamma_det_poly(H @ Aprime, B, Z).terms == {key: det(H) * c for key, c in terms.items()}
+
+
+def _zero_row(rnd, A, B, T):
+    return M(A.entries + ((0,) * A.cols,)), B, T
+
+
+def _scaled_reactions(rnd, A, B, T):
+    d = [Fraction(rnd.randint(1, 3), rnd.randint(1, 3)) for _ in range(A.cols)]
+    return M([[a * dj for a, dj in zip(row, d)] for row in A.entries]), B, T
+
+
+def _scaled_exponents(rnd, A, B, T):
+    d = [rnd.choice((1, 2, 3, Fraction(1, 2))) for _ in range(B.cols)]
+    return A, M([[b * di for b, di in zip(row, d)] for row in B.entries]), T
+
+
+def _inverted_coordinate(rnd, A, B, T):
+    i = rnd.randrange(B.cols)
+
+    def flip(v):
+        return [-x if k == i else x for k, x in enumerate(v)]
+
+    return A, M([flip(row) for row in B.entries]), T and tuple(SignVector(flip(t)) for t in T)
+
+
+def _duplicated_reaction(rnd, A, B, T):
+    j = rnd.randrange(A.cols)
+    return M([row + (row[j],) for row in A.entries]), M(B.entries + (B.row(j),)), T
+
+
+@pytest.mark.parametrize("space", ["full", "orthants"])
+@pytest.mark.parametrize("relation", [_zero_row, _scaled_reactions, _scaled_exponents, _inverted_coordinate,
+                                      _duplicated_reaction], ids=lambda f: f.__name__.lstrip("_"))
+@settings(max_examples=50, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_full_space_and_orthant_verdicts_keep_the_symmetries(space, relation, rnd):
+    """For S = R^n and for a union of orthants, the verdict depends only on
+    sigma(ker A), sigma(S) and the sign pairs (sigma(Bv), sigma(v)). A zero
+    row of A, A -> A D (kappa absorbs D), B -> B D (x_i -> x_i^{d_i}) for a
+    positive diagonal D, x_i -> 1/x_i (column i of B and coordinate i of
+    every orthant negated) and a duplicated reaction (a column of A repeated
+    with its row of B: its rate constants add up) keep each of them, so the
+    verdict."""
+    m, n, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 5)
+    A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
+    B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
+    T = None
+    if space == "orthants":
+        nonzero = [SignVector(t) for t in product((-1, 0, 1), repeat=n) if any(t)]
+        T = tuple(rnd.sample(nonzero, rnd.randint(1, min(len(nonzero), 6))))
+    A2, B2, T2 = relation(rnd, A, B, T)
+    try:
+        injective = [check_injectivity(a, b, FullSpace() if t is None else OrthantUnion(t)).injective
+                     for a, b, t in ((A, B, T), (A2, B2, T2))]
+    except TooLarge:
+        return
+    assert injective[0] == injective[1]
 
 
 # -- nogoods in the (mu, tau) sweep ---------------------------------------------

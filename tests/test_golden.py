@@ -505,13 +505,12 @@ DUAL_MINORS_LAPLACE_TERMS = 1599
 
 def laplace_terms(rows, _minors=ratmat.maximal_minors):
     """The terms maximal_minors sums on a list of integer rows: with U their
-    ``integer_echelon`` form, for each t one per nonzero minor of rows t+1..
+    ``integer_rref`` form, for each t one per nonzero minor of rows t+1..
     of U and nonzero entry of row t outside its columns; none if the rows
     are dependent."""
-    echelon = ratmat.integer_echelon(rows)
-    if echelon is None:
+    U, _, Q, _ = ratmat.integer_rref(rows)
+    if len(Q) < len(rows):
         return 0
-    U = echelon[0]
     return sum(sum(1 for j, a in enumerate(row) if a and j not in K)
                for t, row in enumerate(U) for K in _minors(U[t + 1:]))
 
