@@ -1,21 +1,19 @@
 """Chirotopes, cocircuits, and covector enumeration for rational vector configurations.
 
 A configuration is an n x r rational matrix of rank n whose columns are the
-ground-set vectors. Cocircuits come from integer hyperplane normals (signed
-(n-1)-minors of the column-scaled configuration), and covectors are their
-composition closure. Every covector is a conformal composition of
-cocircuits, so the closure composes each covector only with the cocircuits
-conformal to it, tracked as bitmasks over cocircuit indices: its cost is the
-number of such pairs, not |covectors| x |cocircuits|. The intersection
-sigma(ker M) ∩ sigma(im C) closes ker M only: by oriented-matroid duality
-the sign vectors of im C are those orthogonal to the circuits of
-im(C)^perp = ker(C^T), so the closed covectors are filtered by those
-circuits, taken as cocircuits of a basis of ker(C^T). Sign sets stay
-(pos, neg) bitmask pairs up to the public functions, which build their
-sorted SignVector tuples once, at the end. The closure can be exponential
-in r (3^r covectors on r coordinate vectors), so it raises ``TooLarge``
-when r exceeds ``GROUND_SET_GUARD`` or once it holds more than
-``COVECTOR_BUDGET`` covectors.
+ground-set vectors. Its cocircuits are read off one table of its maximal
+minors (``ratmat.maximal_minors``), and its covectors are their composition
+closure. Every covector is a conformal composition of cocircuits, so the
+closure composes each covector only with the cocircuits conformal to it,
+tracked as bitmasks over cocircuit indices: its cost is the number of such
+pairs, not |covectors| x |cocircuits|. The intersection sigma(ker M) ∩
+sigma(im C) closes ker M only: by oriented-matroid duality the sign vectors
+of im C are those orthogonal to the circuits of im(C)^perp = ker(C^T), the
+cocircuits of a basis of ker(C^T). Sign sets stay (pos, neg) bitmask pairs
+up to the public functions, which build their sorted SignVector tuples once,
+at the end. A table holds up to C(r, n) minors and a closure up to 3^r
+covectors, so both raise ``TooLarge`` when r exceeds ``GROUND_SET_GUARD``,
+and the closure also once it holds more than ``COVECTOR_BUDGET`` covectors.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import RankDeficient, ShapeMismatch, TooLarge
-from .ratmat import RationalMatrix, column_basis, det, integer_det, integer_rows, kernel_basis, rank
+from .ratmat import RationalMatrix, column_basis, det, integer_rows, kernel_basis, maximal_minors, rank
 from .signs import SignVector, sign_of
 
 GROUND_SET_GUARD = 16
@@ -42,6 +40,8 @@ class Chirotope:
 def chirotope(A: RationalMatrix) -> Chirotope:
     """Sign of det(A_{[n],J}) for every sorted n-subset J of columns."""
     n, r = A.rows, A.cols
+    if r > GROUND_SET_GUARD:
+        raise TooLarge(f"matroid enumeration guarded at ground-set size {GROUND_SET_GUARD}")
     if rank(A) < n:
         raise RankDeficient(f"configuration has rank below {n}")
     signs = {}
@@ -58,29 +58,29 @@ def cocircuits(A: RationalMatrix):
 def _cocircuit_masks(A: RationalMatrix):
     """The cocircuits of the configuration as a set of (pos, neg) bitmask pairs.
 
-    Each (n-1)-subset H of columns spanning a hyperplane determines a normal t,
-    and the induced sign vector (sign(t . a^j))_j is a covector of minimal
-    support. Scaling each column by the lcm of its denominators keeps every
-    sign, so t is taken as the signed (n-1)-minors of the integer columns H:
-    t . a = det[A_H | a], and t = 0 exactly when A_H has rank below n-1.
+    The cocircuit of the hyperplane spanned by n - 1 independent columns H
+    has the signs of a -> det[A_H | a]: entry j is sign((-1)^e chi(H + j)),
+    with chi the table of maximal minors on sorted columns and
+    e = |{h in H : h > j}| the columns that a^j passes to be sorted in. Each
+    H is J - {J_i} for a basis J in chi, which gives entry j = J_i with
+    e = n - 1 - i, so one pass over chi reads every nonzero entry; both
+    orientations are kept. chi is taken on integer_rows(A): scaling a row by
+    a positive lcm scales every maximal minor by it, which keeps every sign.
+    chi is empty exactly when A has rank below n, and for n = 0 it is
+    {(): 1}, which spans no hyperplane.
     """
     n, r = A.rows, A.cols
-    if n == 0:
-        return set()  # rank 0: no hyperplane, so no cocircuit
-    if rank(A) < n:
+    if r > GROUND_SET_GUARD:
+        raise TooLarge(f"matroid enumeration guarded at ground-set size {GROUND_SET_GUARD}")
+    chi = maximal_minors(integer_rows(A)[0])
+    if not chi:
         raise RankDeficient(f"configuration has rank below {n}")
-    columns, _ = integer_rows(A.transpose())
-    found = set()
-    for H in combinations(range(r), n - 1):
-        rows = [[columns[h][i] for h in H] for i in range(n)]
-        t = [(-1) ** (n - 1 - i) * integer_det(rows[:i] + rows[i + 1:]) for i in range(n)]
-        if not any(t):
-            continue
-        values = [sum(ti * ai for ti, ai in zip(t, col)) for col in columns]
-        pos = sum(1 << j for j, v in enumerate(values) if v > 0)
-        neg = sum(1 << j for j, v in enumerate(values) if v < 0)
-        found |= {(pos, neg), (neg, pos)}
-    return found
+    masks = {}  # H -> [pos, neg]
+    for J, m in chi.items():
+        for i, j in enumerate(J):
+            # index 1, neg, when (-1)^(n - 1 - i) m < 0
+            masks.setdefault(J[:i] + J[i + 1:], [0, 0])[(m < 0) ^ (n - 1 - i) & 1] |= 1 << j
+    return {pair for pos, neg in masks.values() for pair in ((pos, neg), (neg, pos))}
 
 
 def _sign_vectors(masks, r: int):
@@ -111,12 +111,11 @@ def _covector_masks(A: RationalMatrix):
     mask(u) & conf[i], where conf[i] holds the cocircuits conformal to c_i
     other than c_i itself. The set returned equals the all-pairs composition
     closure of the cocircuits. It is 3^r on r coordinate vectors, so the
-    closure raises ``TooLarge`` once it holds more than ``COVECTOR_BUDGET``.
+    closure raises ``TooLarge`` once it holds more than ``COVECTOR_BUDGET``;
+    ``_cocircuit_masks`` has already refused r past ``GROUND_SET_GUARD``.
     """
-    r = A.cols
-    if r > GROUND_SET_GUARD:
-        raise TooLarge(f"covector enumeration guarded at ground-set size {GROUND_SET_GUARD}")
     base = list(_cocircuit_masks(A))
+    r = A.cols
     # plus[j] / minus[j]: the cocircuits with sign + / - at coordinate j
     plus, minus = [0] * r, [0] * r
     for i, (pos, neg) in enumerate(base):

@@ -1,11 +1,11 @@
 """Independent slow oracles for the test suite and the ``oracle`` subcommands.
 
 Every routine here re-derives a quantity the engine computes, by a different
-algorithm (cofactor expansion, Fourier-Motzkin on the inequalities left once
-the equalities are substituted away, brute-force orthant sweeps, Leibniz
-expansion, random sampling). Outside the tests, only the CLI's
-``oracle`` subcommands import this module, when they run; the rest of the
-package never depends on it. Importing it does not load mpmath: only the
+algorithm (brute-force orthant sweeps, Leibniz expansion, random sampling);
+the references that only the tests use, cofactor determinants and
+Fourier-Motzkin elimination, are in tests/reference.py. Outside the tests,
+only the CLI's ``oracle`` subcommands import this module, when they run; the
+rest of the package never depends on it. Importing it does not load mpmath: only the
 non-integral-B branch of sampled_injectivity_search does, through
 engine.collision_kappa and engine.verify_counterexample. Every sign pattern
 and every candidate is decided exactly, for every B; for integral B in Python
@@ -27,97 +27,7 @@ from .ratmat import RationalMatrix, integer_monomial
 from .signs import SignVector, canonical_sort, sigma, sign_of
 
 COFACTOR_LIMIT = 5
-FM_VARIABLE_LIMIT = 6
 SWEEP_DIM_LIMIT = 5
-
-
-def cofactor_det(M: RationalMatrix) -> Fraction:
-    """Determinant by cofactor expansion along the first row (n <= 5)."""
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if n > COFACTOR_LIMIT:
-        raise TooLarge(f"cofactor expansion limited to order {COFACTOR_LIMIT}")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return M[0, 0]
-    total = Fraction(0)
-    for j in range(n):
-        if M[0, j] == 0:
-            continue
-        minor = M.submatrix(range(1, n), [c for c in range(n) if c != j])
-        total += (-1) ** j * M[0, j] * cofactor_det(minor)
-    return total
-
-
-# -- Fourier-Motzkin ----------------------------------------------------------
-
-
-def fourier_motzkin_feasible(eq_rows, ineq_rows, nvars: int) -> bool:
-    """Decide {E z = b, A z >= rhs} by variable elimination (nvars <= 6).
-
-    eq_rows and ineq_rows are sequences of (coeffs, rhs) pairs. Each equality
-    is first solved for its first variable with a nonzero coefficient, which is
-    substituted into every other row (exact Gaussian elimination). Before each
-    elimination step, rows that are positive multiples of one coefficient
-    vector are cut to the strongest: scaled to a leading entry of +-1, the one
-    with the largest right-hand side. Without that cut the row count can square
-    at every step.
-    """
-    if nvars > FM_VARIABLE_LIMIT:
-        raise TooLarge(f"Fourier-Motzkin limited to {FM_VARIABLE_LIMIT} variables")
-    eqs = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in eq_rows]
-    rows = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in ineq_rows]
-    while eqs:
-        c, b = eqs.pop()
-        v = next((j for j, a in enumerate(c) if a), None)
-        if v is None:
-            if b:
-                return False
-            continue
-
-        def substitute(row):
-            coeffs, rhs = row
-            f = coeffs[v] / c[v]
-            return tuple(a - f * e for a, e in zip(coeffs, c)), rhs - f * b
-
-        eqs = list(map(substitute, eqs))
-        rows = list(map(substitute, rows))
-
-    for var in range(nvars - 1, -1, -1):
-        rows = _strongest(rows)
-        pos = [r for r in rows if r[0][var] > 0]
-        neg = [r for r in rows if r[0][var] < 0]
-        rest = [r for r in rows if r[0][var] == 0]
-        combined = []
-        for cp, bp in pos:
-            for cn, bn in neg:
-                # scale so the var cancels: cp/cp[var] + cn/(-cn[var])
-                sp, sn = cp[var], -cn[var]
-                coeffs = tuple(a / sp + b / sn for a, b in zip(cp, cn))
-                combined.append((coeffs, bp / sp + bn / sn))
-        rows = rest + combined
-    return all(rhs <= 0 for coeffs, rhs in rows)
-
-
-def _strongest(rows):
-    """One row per coefficient vector up to a positive factor, scaled to a
-    leading entry of +-1: the one with the largest right-hand side."""
-    best = {}
-    for coeffs, rhs in rows:
-        lead = abs(next((a for a in coeffs if a), 1))
-        key = tuple(a / lead for a in coeffs)
-        best[key] = max(best.get(key, rhs / lead), rhs / lead)
-    return list(best.items())
-
-
-def fm_strict_feasible(sys: StrictSystem) -> bool:
-    """The strict system decided through the same eps=1 relaxation, by FM."""
-    rows = sys.constraint_rows()
-    eq_rows = [(coeffs, 0) for coeffs, s in rows if not s]
-    ineq_rows = [(tuple(s * c for c in coeffs), 1) for coeffs, s in rows if s]
-    return fourier_motzkin_feasible(eq_rows, ineq_rows, sys.nvars)
 
 
 # -- brute-force sign sets ----------------------------------------------------
@@ -266,8 +176,8 @@ def sampled_injectivity_search(
     each of engine.retry_precisions(prec) in turn, as the counterexample
     builder's do, until one accepts. Deterministic per seed.
 
-    As in check_injectivity, an S outside R^n and, unless S = {0}, an A with
-    no columns raise ShapeMismatch.
+    As in check_injectivity, an S outside R^n and, unless S = {0} or a union
+    of no orthants, an A with no columns raise ShapeMismatch.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -278,6 +188,9 @@ def sampled_injectivity_search(
     n = B.cols
     check_ambient_dim(S, n)
 
+    # S = {0} or a union of no orthants: no x != y has x - y in S
+    if isinstance(S, Subspace) and not S.dim() or isinstance(S, OrthantUnion) and not S.T:
+        return SearchReport(samples=samples, seed=seed, candidates=0)
     # Every draw is p / d with d in {1, 2, 3, 4}, so its numerator over 12 is
     # an integer; samples are integer vectors over the common denominator q.
     scale = 1
@@ -286,8 +199,6 @@ def sampled_injectivity_search(
     if S is None or isinstance(S, FullSpace):
         pass
     elif isinstance(S, Subspace):
-        if S.dim() == 0:
-            return SearchReport(samples=samples, seed=seed, candidates=0)
         basis = S.image_presentation()
         scale = lcm(*(v.denominator for row in basis.entries for v in row))
         basis = [[int(v * scale) for v in row] for row in basis.entries]

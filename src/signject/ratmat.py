@@ -7,17 +7,17 @@ Gauss-Jordan elimination: it gives the reduced form, the pivots and their
 determinant, and is behind ``rref`` (so ``kernel_basis``, ``column_basis`` and
 ``gale_dual``), ``rank``, ``maximal_minors`` and the factorization of the
 paired-minor scan in ``engine``. ``integer_det``, the same elimination run
-forward only, is behind ``det`` and the cocircuit normals in ``matroid``.
+forward only, is behind ``det`` alone, and no other module names it.
 ``maximal_minors`` gives every nonzero maximal minor of an integer matrix in
 one Laplace expansion, row by row, of its reduced form, which is also an
 echelon form, so that no intermediate level holds more minors than the table;
 the paired-minor scan (at rank s) and the det-polynomial scan in ``engine``,
-and ``verify_gale_relation``, read every minor from such tables.
-``integer_monomial`` is the one exact x^B: the steady-state grid in ``crn``
-and the integral-B sampling oracle evaluate their monomials with it. The
-matrix product also runs on integer rows: the integer dot products of the
-rows of one factor with the columns of the other, over their scales.
-Matrices are immutable once constructed.
+the cocircuits in ``matroid`` and ``verify_gale_relation`` read every minor
+from such tables. ``integer_monomial`` is the one exact x^B: the steady-state
+grid in ``crn`` and the integral-B sampling oracle evaluate their monomials
+with it. The matrix product also runs on integer rows: the integer dot
+products of the rows of one factor with the columns of the other, over their
+scales. Matrices are immutable once constructed.
 """
 from __future__ import annotations
 

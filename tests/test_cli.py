@@ -393,9 +393,12 @@ def test_empty_configuration_without_sign_vectors(tmp_path, capsys, command, bod
 
 
 def test_size_guard_exit_code(tmp_path, capsys):
+    """Every matroid enumeration stops at ground-set size 16, the chirotope and
+    the cocircuits as well as the covectors."""
     wide = write(tmp_path, "W.json", M([[1] * 17]))
-    code, _, _ = run_cli(["covectors", "--A", wide], capsys)
-    assert code == 4
+    for command in ("chirotope", "cocircuits", "covectors"):
+        code, payload, err = run_cli([command, "--A", wide], capsys)
+        assert (code, payload, err) == (4, None, "error: matroid enumeration guarded at ground-set size 16\n")
 
 
 def test_covector_budget_exit_code(tmp_path, capsys, monkeypatch):

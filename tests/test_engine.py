@@ -25,9 +25,11 @@ from signject.cli import main
 from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceeded, ShapeMismatch, TooLarge
 from signject.feasibility import feasible_sign_pair
 from signject.matroid import matroid_vectors
-from signject.oracle import cofactor_det, naive_symbolic_gamma_det
+from signject.oracle import naive_symbolic_gamma_det
 from signject.ratmat import RationalMatrix, det, rank, rref
 from signject.signs import SignVector
+
+from reference import cofactor_det
 
 M = RationalMatrix
 S = SignVector.parse

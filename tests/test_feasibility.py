@@ -17,9 +17,10 @@ from signject.feasibility import (
     solve_rows,
     solve_strict,
 )
-from signject.oracle import fm_strict_feasible
 from signject.ratmat import RationalMatrix
 from signject.signs import SignVector, sigma, sign_of
+
+from reference import fm_strict_feasible
 
 M = RationalMatrix
 S = SignVector.parse

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signject import matroid
+from signject import matroid, ratmat
 from signject.crn import parse_network, stoichiometry
 from signject.descartes import check_ex
 from signject.errors import RankDeficient, ShapeMismatch, TooLarge
@@ -19,7 +20,7 @@ from signject.matroid import (
     matroid_vectors,
 )
 from signject.oracle import brute_force_sign_set
-from signject.ratmat import RationalMatrix, column_basis, kernel_basis, rank
+from signject.ratmat import RationalMatrix, column_basis, integer_det, integer_rows, kernel_basis, rank
 from signject.signs import SignVector, compose, orthogonal, sigma
 
 M = RationalMatrix
@@ -95,8 +96,12 @@ def test_common_sign_vectors_worked():
 
 def test_too_large_guard():
     wide = M([[1] * 17])
-    with pytest.raises(TooLarge):
-        covectors(wide)
+    for enumeration in (chirotope, cocircuits, covectors):
+        with pytest.raises(TooLarge):
+            enumeration(wide)
+    # one coordinate fewer is within the guard
+    assert len(chirotope(M([[1] * 16])).signs) == 16
+    assert cocircuits(M([[1] * 16])) == (S("-" * 16), S("+" * 16))
     # the intersection closes ker M, so the guard applies when both sides are nonzero
     with pytest.raises(TooLarge):
         common_sign_vectors(M.zeros(1, 17), M([[1]] * 17))
@@ -142,6 +147,95 @@ def test_covectors_match_brute_force(rnd):
     C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(r)])
     shared = set(kernel) & set(brute_force_sign_set(C, "image"))
     assert common_sign_vectors(A, C) == tuple(sorted(v for v in shared if not v.is_zero()))
+
+
+def hyperplane_normal_cocircuits(A):
+    """The cocircuits as (pos, neg) masks, one hyperplane normal per (n-1)-subset
+    H of columns: t_i = (-1)^(n-1-i) det of the columns H without row i, by
+    ``integer_det``, and entry j is sign(t . a^j). The reference for the
+    table-read ``_cocircuit_masks``."""
+    n, r = A.rows, A.cols
+    if n == 0:
+        return set()
+    if rank(A) < n:
+        raise RankDeficient(f"configuration has rank below {n}")
+    columns, _ = integer_rows(A.transpose())
+    found = set()
+    for H in combinations(range(r), n - 1):
+        rows = [[columns[h][i] for h in H] for i in range(n)]
+        t = [(-1) ** (n - 1 - i) * integer_det(rows[:i] + rows[i + 1:]) for i in range(n)]
+        if not any(t):
+            continue
+        values = [sum(ti * ai for ti, ai in zip(t, col)) for col in columns]
+        pos = sum(1 << j for j, v in enumerate(values) if v > 0)
+        neg = sum(1 << j for j, v in enumerate(values) if v < 0)
+        found |= {(pos, neg), (neg, pos)}
+    return found
+
+
+def gale_configuration(rnd):
+    """[I_r | -B] for a random r x n B, r <= 8 and n <= 4. Its rows span
+    ker [B^T I_n] = im [B; I_n]^perp, so its cocircuits are the circuits that
+    decide the sign pairs (sigma(By), sigma(y))."""
+    r, n = rnd.randint(1, 8), rnd.randint(1, 4)
+    return M([[int(i == k) for k in range(r)] + [-Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(n)]
+              for i in range(r)])
+
+
+def cocircuit_instance(kind, rnd):
+    if kind == "fractional":
+        return fractional_configuration(rnd, 5, 9)
+    if kind == "dependent":
+        A = fractional_configuration(rnd, 5, 9)
+        return M(A.entries + (tuple(2 * a - b for a, b in zip(A.row(0), A.row(-1))),))
+    if kind == "empty":
+        return M.zeros(0, rnd.randint(0, 5))
+    if kind == "zero_and_repeated":
+        A = fractional_configuration(rnd, 4, 6)
+        columns = [A.column(j) for j in range(A.cols)]
+        columns += [(Fraction(0),) * A.rows] * rnd.randint(1, 2)
+        # a column repeated, or repeated negated and scaled
+        columns += [tuple(rnd.choice((1, -3)) * a for a in rnd.choice(columns)) for _ in range(rnd.randint(1, 2))]
+        rnd.shuffle(columns)
+        return M.from_columns(columns, rows=A.rows)
+    return gale_configuration(rnd)
+
+
+COCIRCUIT_KINDS = ("fractional", "dependent", "empty", "zero_and_repeated", "gale")
+
+
+@pytest.mark.parametrize("kind", COCIRCUIT_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_cocircuits_match_hyperplane_normals(kind, rnd):
+    """The cocircuits read from one table of maximal minors equal the ones from
+    a normal per hyperplane, and both raise RankDeficient on the same inputs."""
+    A = cocircuit_instance(kind, rnd)
+    assert outcome(matroid._cocircuit_masks, A) == outcome(hyperplane_normal_cocircuits, A)
+    if kind == "dependent":
+        with pytest.raises(RankDeficient):
+            matroid._cocircuit_masks(A)
+
+
+def test_one_minor_table_per_cocircuit_call(monkeypatch):
+    """Every closure reads its cocircuits from one table of maximal minors, with
+    no determinant and no rank of its own."""
+    def forbidden(*args):
+        raise AssertionError("the cocircuits took a determinant or a rank")
+
+    tables, calls = [], []
+    table, masks = matroid.maximal_minors, matroid._cocircuit_masks
+    monkeypatch.setattr(matroid, "maximal_minors", lambda rows: tables.append(rows) or table(rows))
+    monkeypatch.setattr(matroid, "_cocircuit_masks", lambda A: calls.append(A) or masks(A))
+    monkeypatch.setattr(ratmat, "integer_det", forbidden)
+    monkeypatch.setattr(matroid, "rank", forbidden)
+    A = M([[1, 0, 1, 2], [0, 1, 1, -1]])
+    cocircuits(A)
+    covectors(A)
+    matroid_vectors(A)
+    image_sign_vectors(A.transpose())
+    common_sign_vectors(M([[1, -1, 0]]), M([[1, 0], [1, 0], [0, 1]]))
+    assert len(calls) == len(tables) == 6
 
 
 def reference_closure(base, r):

@@ -15,17 +15,11 @@ from signject import engine, oracle
 from signject.engine import FullSpace, OrthantUnion, Subspace, check_injectivity, evaluate_map
 from signject.errors import InternalError, ShapeMismatch, TooLarge, VerificationFailed
 from signject.feasibility import FeasibilityResult, StrictSystem, solve_rows, solve_strict
-from signject.oracle import (
-    SearchReport,
-    brute_force_sign_set,
-    cofactor_det,
-    fm_strict_feasible,
-    fourier_motzkin_feasible,
-    naive_symbolic_gamma_det,
-    sampled_injectivity_search,
-)
+from signject.oracle import SearchReport, brute_force_sign_set, naive_symbolic_gamma_det, sampled_injectivity_search
 from signject.ratmat import RationalMatrix, det
 from signject.signs import SignVector, sign_of, sigma
+
+from reference import cofactor_det, fm_strict_feasible, fourier_motzkin_feasible
 
 M = RationalMatrix
 S = SignVector.parse
@@ -111,6 +105,16 @@ def test_search_rejects_a_subset_outside_R_n(B, subset, message):
         with pytest.raises(ShapeMismatch) as caught:
             decide()
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("B", [M.identity(2), M([[Fraction(1, 2), 0], [0, 1]])], ids=["integral", "non-integral"])
+def test_search_over_no_orthant_draws_nothing(B):
+    """A union of no orthants holds no x - y, as S = {0} does: the engine answers
+    with its empty condition and the search with no candidate."""
+    A = M([[1, -1]])
+    assert check_injectivity(A, B, OrthantUnion(())).certificate == {"empty_condition": True}
+    for S in (OrthantUnion(()), Subspace(C=M.zeros(2, 1))):
+        assert sampled_injectivity_search(A, B, S=S, samples=50, seed=4) == SearchReport(50, 4, candidates=0)
 
 
 def test_search_rejects_negative_samples():

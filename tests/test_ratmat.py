@@ -16,7 +16,6 @@ from signject.errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from signject.oracle import cofactor_det
 from signject.ratmat import (
     RationalMatrix,
     det,
@@ -31,6 +30,8 @@ from signject.ratmat import (
     rref,
     verify_gale_relation,
 )
+
+from reference import cofactor_det
 
 M = RationalMatrix
 

@@ -2,9 +2,10 @@
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
 instead; every import is used, and none is numpy; every function and class
-has a caller; no module but ``cli.py`` touches the environment; no function
-but ``cli.main`` writes output; no function writes into its caller's
-arguments; and no result class renders itself as JSON.
+has a caller; no module but ``ratmat.py`` names ``integer_det``; no module
+but ``cli.py`` touches the environment; no function but ``cli.main`` writes
+output; no function writes into its caller's arguments; and no result class
+renders itself as JSON.
 """
 import ast
 from collections import Counter
@@ -80,6 +81,19 @@ def test_every_definition_has_a_caller():
                 and named[node.name] == _named(node)[node.name]
                 and node.name not in exported and node.name not in criteria]
     assert uncalled == [], f"defined but never called: {uncalled}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ratmat.py"], ids=lambda p: p.name)
+def test_only_ratmat_names_integer_det(path):
+    """Every determinant outside ratmat comes from its tables or its ``det``, so
+    no other module calls, imports or re-exports ``integer_det``: a new
+    per-subset elimination shows here."""
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Name) and node.id == "integer_det"
+             or isinstance(node, ast.Attribute) and node.attr == "integer_det"
+             or isinstance(node, ast.alias) and node.name == "integer_det"
+             or isinstance(node, ast.Constant) and node.value == "integer_det"]
+    assert lines == [], f"{path.name}: integer_det named at lines {lines}"
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
