@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -267,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="signject",
         description="exact injectivity, Descartes-rule, and multistationarity decisions",
     )
-    parser.add_argument("--precision", type=int, default=None,
+    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                         help="working precision in bits of counterexamples (default "
-                             f"$SIGNJECT_PRECISION_BITS, else 256; min 64, max {MAX_PRECISION_BITS})")
+                             f"{DEFAULT_PRECISION_BITS}; min 64, max {MAX_PRECISION_BITS})")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=0, help="rng seed for sampling oracles")
@@ -357,11 +356,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.precision is None:
-            try:
-                args.precision = int(os.environ.get("SIGNJECT_PRECISION_BITS", DEFAULT_PRECISION_BITS))
-            except ValueError:
-                raise ParseError("SIGNJECT_PRECISION_BITS must be an integer") from None
         if not 64 <= args.precision <= MAX_PRECISION_BITS:
             raise ParseError(f"precision must be between 64 and {MAX_PRECISION_BITS} bits, got {args.precision}")
         if args.jobs < 1:

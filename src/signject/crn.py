@@ -12,7 +12,6 @@ by sigma(ker M) and sigma(S); otherwise it builds two of them.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -34,8 +33,6 @@ NUMERIC_DIGITS = 50
 # and benchmark corpora but the dual futile cycle is at most 1296 candidates,
 # so none of them reaches it.
 STEADY_STATE_LP_BUDGET = 2000
-# certificates of the most recent infeasible grid LPs kept to screen later candidates
-GRID_NOGOODS = 64
 
 
 @dataclass(frozen=True)
@@ -229,10 +226,11 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     and the basis. The monomial rows are built from those integers, by
     ratmat.integer_monomial, only for the candidates with y > 0, and x's rows
     once per x. Each such candidate is then screened against the checked
-    Farkas certificates of the last GRID_NOGOODS infeasible LPs
-    (``_screened``). A feasible candidate is never screened out, and one that
-    is still counts toward STEADY_STATE_LP_BUDGET, so the search stops where
-    it would without the screen.
+    Farkas certificates of every earlier infeasible LP, the latest first
+    (``_screened``), as the (mu, tau) sweep keeps its nogoods. A feasible
+    candidate is never screened out, and one that is still counts toward
+    STEADY_STATE_LP_BUDGET, so the search stops where it would without the
+    screen.
     """
     n, r = N.rows, N.cols
     basis = S.image_presentation()
@@ -248,7 +246,7 @@ def _steady_state_pair(N: RationalMatrix, V: RationalMatrix, S: Subspace):
     exponents = [[int(v) for v in row] for row in V.entries]
     scales = [Fraction(1, d) ** sum(row) for row in exponents]
     positive = SignVector([1] * r)
-    nogoods = deque(maxlen=GRID_NOGOODS)
+    nogoods = []
     tested = 0
     for x in product(x_values, repeat=n):
         X = [int(v * d) for v in x]

@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import (InternalError, LengthMismatch, NonPositiveInput, SearchBudgetExceeded,
                      ShapeMismatch, VerificationFailed)
 from .feasibility import StrictSystem, check_certificate, rational_point_with_sign, solve_strict, unit_row
-from .matroid import common_sign_vectors, image_sign_vectors, matroid_vectors
+from .matroid import common_sign_vectors, covectors, matroid_vectors
 from .ratmat import (
     RationalMatrix,
     column_basis,
@@ -35,7 +35,7 @@ from .ratmat import (
     maximal_minors,
     permutation_sign_tau,
     rank,
-    rref,
+    row_basis,
 )
 from .signs import SignVector, sigma, sign_of
 
@@ -80,7 +80,7 @@ class Subspace:
     def _kernel(self) -> RationalMatrix:
         if self.Z is not None:
             # a Z with dependent rows gives way to the nonzero rows of its rref
-            return self.Z if self.Z.rows == self.ambient_dim - self.dim() else _pivot_rows(self.Z)
+            return self.Z if self.Z.rows == self.ambient_dim - self.dim() else row_basis(self.Z)
         n = self.ambient_dim
         C = self._image
         if C.cols == n:
@@ -99,10 +99,11 @@ class Subspace:
         return self._kernel
 
     def nonzero_sign_vectors(self):
-        """sigma(S) minus the zero vector, canonically ordered."""
+        """sigma(S) minus the zero vector, canonically ordered: the covectors
+        of the transposed basis, whose rows span S."""
         if self.dim() == 0:
             return ()
-        return tuple(v for v in image_sign_vectors(self.image_presentation()) if not v.is_zero())
+        return tuple(v for v in covectors(self.image_presentation().transpose()) if not v.is_zero())
 
 
 @dataclass(frozen=True)
@@ -534,13 +535,6 @@ def verify_counterexample(A, B, kappa, x_num, y_num, prec):
 # -- the decision procedure ---------------------------------------------------
 
 
-def _pivot_rows(A: RationalMatrix) -> RationalMatrix:
-    """The nonzero rows of rref(A): an s x r matrix with the same kernel as A."""
-    R, pivots = rref(A)
-    rows = [R.entries[i] for i in range(len(pivots))]
-    return RationalMatrix(rows, len(rows), A.cols)
-
-
 def _zero_mu(r: int) -> SignVector:
     """mu = 0 in {-,0,+}^r: the sign of By for a y in ker(B)."""
     if not r:
@@ -602,7 +596,9 @@ def _refuted(nogoods, B: RationalMatrix, signs) -> bool:
 
 
 def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
-    """The exhaustive feasibility search over (mu, tau) pairs.
+    """The exhaustive feasibility search over (mu, tau) pairs, for T the
+    canonically ordered distinct nonzero sign vectors of S (``OrthantUnion.T``
+    or ``Subspace.nonzero_sign_vectors``).
 
     Each pair with mu in sigma(ker A) is decided by its y block alone
     (``_pair_y``), which gives the witness of the joint LP's y half, or
@@ -614,7 +610,6 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
     budget trips where it would if every pair took an LP.
     """
     r = A.cols
-    T = tuple(sorted(set(T)))
     if not T:
         return Verdict(True, "sign_search", certificate={"empty_condition": True})
 
@@ -677,7 +672,7 @@ def check_injectivity(
         dim = S.dim()
         if dim == 0:
             verdict = Verdict(True, "minors", certificate={"empty_condition": True})
-        elif dim != (Aprime := _pivot_rows(A)).rows:
+        elif dim != (Aprime := row_basis(A)).rows:
             verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, prec)
         else:
             verdict = _check_subspace_minors(A, Aprime, B, S, prec)
@@ -725,7 +720,7 @@ def _check_subspace_minors(A, Aprime, B, S, prec):
     """dim S = rank A: the minors and det-polynomial routes decide, and a failed
     verdict takes its counterexample from the sign search.
 
-    Aprime is _pivot_rows(A). If the sign search hits its pair budget (it decides
+    Aprime is row_basis(A). If the sign search hits its pair budget (it decides
     at most SIGN_SEARCH_LP_BUDGET (mu, tau) pairs, by LP or by nogood), the
     decided verdict is returned with its certificate, no counterexample and a
     warning.

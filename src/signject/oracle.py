@@ -23,7 +23,7 @@ from .engine import (DEFAULT_PRECISION_BITS, FullSpace, OrthantUnion, Subspace, 
                      check_ambient_dim, collision_kappa, retry_precisions, verify_counterexample)
 from .errors import ShapeMismatch, TooLarge, VerificationFailed
 from .feasibility import StrictSystem, rational_point_with_sign, solve_rows, solve_strict
-from .ratmat import RationalMatrix, integer_monomial
+from .ratmat import RationalMatrix, integer_monomial, integer_rows
 from .signs import SignVector, canonical_sort, sigma, sign_of
 
 COFACTOR_LIMIT = 5
@@ -214,9 +214,9 @@ def sampled_injectivity_search(
     def draw_over_12():
         return rng.randrange(-8, 9) * rng.choice((12, 6, 4, 3))
 
-    # row j of B times D_j, the lcm of its denominators; x = X / q, and q^-deg
-    # drops out of the sign patterns
-    exponents = [[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in B.entries]
+    # row j of B times D_j, the lcm of its denominators (integer_rows); x = X / q,
+    # and q^-deg drops out of the sign patterns
+    exponents = integer_rows(B)[0]
     integral_B = all(v.denominator == 1 for row in B.entries for v in row)
     if integral_B:
         # x^b_j = (p / d) q^-deg_j for (p, d) = integer_monomial(X, b_j),

@@ -4,10 +4,11 @@ Entries are :class:`fractions.Fraction`; nothing here ever rounds.
 ``integer_rows`` clears each row of its denominators, and every elimination
 runs on those integer rows. ``integer_rref`` is one fraction-free
 Gauss-Jordan elimination: it gives the reduced form, the pivots and their
-determinant, and is behind ``rref`` (so ``kernel_basis``, ``column_basis`` and
-``gale_dual``), ``rank``, ``maximal_minors`` and the factorization of the
-paired-minor scan in ``engine``. ``integer_det``, the same elimination run
-forward only, is behind ``det`` alone, and no other module names it.
+determinant, and is behind ``rref``, ``rank``, ``maximal_minors`` and the
+factorization of the paired-minor scan in ``engine``. ``rref`` is behind
+``row_basis``, ``column_basis``, ``kernel_basis`` and ``gale_dual``, and no
+other module calls it. ``integer_det``, the same elimination run forward
+only, is behind ``det`` alone, and no other module names it.
 ``maximal_minors`` gives every nonzero maximal minor of an integer matrix in
 one Laplace expansion, row by row, of its reduced form, which is also an
 echelon form, so that no intermediate level holds more minors than the table;
@@ -214,16 +215,21 @@ def rank(M: RationalMatrix) -> int:
     return len(integer_rref(integer_rows(M)[0])[2])
 
 
+def row_basis(M: RationalMatrix) -> RationalMatrix:
+    """The nonzero rows of rref(M): independent rows with the same row space,
+    so the same kernel, as M."""
+    R, pivots = rref(M)
+    return RationalMatrix(R.entries[:len(pivots)], len(pivots), M.cols)
+
+
 def column_basis(C: RationalMatrix) -> RationalMatrix:
     """Independent columns spanning im(C), from one rref of C^T.
 
     C itself when its columns are independent, so that points drawn from the
-    basis are the caller's; otherwise the nonzero rows of rref(C^T), transposed.
+    basis are the caller's; otherwise ``row_basis(C^T)``, transposed.
     """
-    R, pivots = rref(C.transpose())
-    if len(pivots) == C.cols:
-        return C
-    return RationalMatrix([R.entries[i] for i in range(len(pivots))], len(pivots), C.rows).transpose()
+    R = row_basis(C.transpose())
+    return C if R.rows == C.cols else R.transpose()
 
 
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:

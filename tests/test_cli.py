@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -183,20 +182,15 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "precision" in err
 
 
-def test_precision_upper_bound(tmp_path, capsys, monkeypatch):
+def test_precision_upper_bound(tmp_path, capsys):
     """At the bound a counterexample is built and rendered (exit 3); one bit
-    more, from --precision or from $SIGNJECT_PRECISION_BITS, is a usage error
-    that names the precision (exit 2)."""
-    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
+    more is a usage error that names the precision (exit 2)."""
     argv = ["injectivity", "--A", write(tmp_path, "A.json", RationalMatrix([[1, -1]])),
             "--B", write(tmp_path, "B.json", RationalMatrix([[1], [2]])), "--full-space"]
     code, payload, _ = run_cli(["--precision", str(MAX_PRECISION_BITS)] + argv, capsys)
     assert code == 3 and payload["counterexample"] is not None
     message = f"error: precision must be between 64 and {MAX_PRECISION_BITS} bits, got {MAX_PRECISION_BITS + 1}\n"
     code, payload, err = run_cli(["--precision", str(MAX_PRECISION_BITS + 1)] + argv, capsys)
-    assert code == 2 and payload is None and err == message
-    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", str(MAX_PRECISION_BITS + 1))
-    code, payload, err = run_cli(argv, capsys)
     assert code == 2 and payload is None and err == message
 
 
@@ -207,15 +201,6 @@ def test_json_value_renders_retry_precision_rationals():
     value = Fraction(2**bits - 1, 2**(bits - 1))
     assert value.numerator.bit_length() == value.denominator.bit_length() == bits
     assert Fraction(_json_value(value)) == value
-
-
-@pytest.mark.parametrize("value", ["abc", "", "1.5"])
-def test_non_integer_precision_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", value)
-    a = write(tmp_path, "A.json", M.identity(2))
-    code, payload, err = run_cli(["chirotope", "--A", a], capsys)
-    assert code == 2 and payload is None
-    assert err == "error: SIGNJECT_PRECISION_BITS must be an integer\n"
 
 
 def test_oracle_sample_rejects_negative_samples(tmp_path, capsys):
@@ -519,8 +504,7 @@ def test_injectivity_without_rows(tmp_path, capsys, subset):
 
 
 def test_oracle_sample_precision(tmp_path, capsys, monkeypatch):
-    """oracle sample passes --precision, else $SIGNJECT_PRECISION_BITS, else
-    256, to the sampling search."""
+    """oracle sample passes --precision, else 256, to the sampling search."""
     import signject.oracle as oracle
 
     search = oracle.sampled_injectivity_search
@@ -531,14 +515,11 @@ def test_oracle_sample_precision(tmp_path, capsys, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "sampled_injectivity_search", recording)
-    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
     argv = ["oracle", "sample", "--A", write(tmp_path, "A.json", M([[1, -1]])),
             "--B", write(tmp_path, "B.json", M([["1/2"], ["2"]])), "--samples", "5"]
     outputs = [run_cli(argv, capsys)]
     outputs.append(run_cli(["--precision", "128"] + argv, capsys))
-    monkeypatch.setenv("SIGNJECT_PRECISION_BITS", "96")
-    outputs.append(run_cli(argv, capsys))
-    assert precs == [256, 128, 96]
+    assert precs == [256, 128]
     assert all(code in (0, 3) and payload["samples"] == 5 for code, payload, _ in outputs)
 
 
@@ -579,20 +560,26 @@ def test_console_script_installed():
     assert "injectivity" in proc.stdout
 
 
-def test_precision_is_per_call(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SIGNJECT_PRECISION_BITS", raising=False)
+def test_precision_is_per_call(tmp_path, capsys):
     A, B = M([[1, -1]]), M([[1], [2]])
     argv = ["injectivity", "--A", write(tmp_path, "A.json", A), "--B",
             write(tmp_path, "B.json", B), "--full-space"]
     _, low, _ = run_cli(["--precision", "128"] + argv, capsys)
-    assert "SIGNJECT_PRECISION_BITS" not in os.environ
     # a later library call still renders its witness at the default 256 bits
     x = check_injectivity(A, B, FullSpace()).counterexample.x
     assert x == check_injectivity(A, B, FullSpace(), prec=256).counterexample.x
     _, default, _ = run_cli(argv, capsys)
     assert default["counterexample"]["x"] == list(x)
     assert len(low["counterexample"]["x"][0]) < len(x[0])
-    # the CLI falls back to the environment variable when --precision is absent
+
+
+def test_precision_comes_only_from_the_flag(tmp_path, capsys, monkeypatch):
+    """With no --precision the CLI renders at 256 bits, whatever the
+    environment holds: SIGNJECT_PRECISION_BITS is not read."""
+    argv = ["injectivity", "--A", write(tmp_path, "A.json", M([[1, -1]])),
+            "--B", write(tmp_path, "B.json", M([[1], [2]])), "--full-space"]
     monkeypatch.setenv("SIGNJECT_PRECISION_BITS", "128")
     _, from_env, _ = run_cli(argv, capsys)
-    assert from_env["counterexample"]["x"] == low["counterexample"]["x"]
+    _, flagged, _ = run_cli(["--precision", "256"] + argv, capsys)
+    _, low, _ = run_cli(["--precision", "128"] + argv, capsys)
+    assert from_env == flagged != low

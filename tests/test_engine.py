@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from signject import engine
+from signject import engine, matroid, ratmat
 from signject.engine import (
     FullSpace,
     OrthantUnion,
@@ -24,7 +24,7 @@ from signject.engine import (
 from signject.cli import main
 from signject.errors import InternalError, NonPositiveInput, SearchBudgetExceeded, ShapeMismatch, TooLarge
 from signject.feasibility import feasible_sign_pair
-from signject.matroid import matroid_vectors
+from signject.matroid import image_sign_vectors, matroid_vectors
 from signject.oracle import naive_symbolic_gamma_det
 from signject.ratmat import RationalMatrix, det, rank, rref
 from signject.signs import SignVector
@@ -328,8 +328,6 @@ def test_point_monomials_match_the_mp_context(rnd, prec):
 
 def test_subspace_presentations_computed_once(monkeypatch):
     """dim, image_presentation and kernel_presentation run rref only once each."""
-    from signject import ratmat
-
     calls = [0]
 
     def counting(M_, _rref=ratmat.rref):
@@ -343,6 +341,52 @@ def test_subspace_presentations_computed_once(monkeypatch):
         assert (S_.dim(), S_.image_presentation(), S_.kernel_presentation()) == first
         assert calls[0] == before
     assert calls[0] > 0
+
+
+SIGN_SET_CASES = {
+    "dependent columns": {"C": M([[1, 2, 0], [2, 4, 1], [-1, -2, 1]])},
+    "dependent rows": {"Z": M([[1, -1, 0], [2, -2, 0], [0, 0, 0]])},
+    "dim n image": {"C": M([[1, 0, 1], [0, 1, 1]])},
+    "dim n kernel": {"Z": M.zeros(1, 3)},
+    "dim 0 image": {"C": M.zeros(3, 2)},
+    "dim 0 kernel": {"Z": M.identity(2)},
+}
+
+
+def _expected_sign_vectors(S_):
+    """sigma(S) minus 0, as the image presentation's image_sign_vectors gives it."""
+    return tuple(v for v in image_sign_vectors(S_.image_presentation()) if not v.is_zero())
+
+
+@pytest.mark.parametrize("presentation", SIGN_SET_CASES.values(), ids=SIGN_SET_CASES.keys())
+def test_nonzero_sign_vectors_close_the_cached_basis(presentation, monkeypatch):
+    """nonzero_sign_vectors is sigma(S) minus 0, closed from the cached basis:
+    column_basis runs once per Subspace(C=...) and never for Subspace(Z=...)."""
+    calls = []
+
+    def counting(C, _column_basis=ratmat.column_basis):
+        calls.append(C)
+        return _column_basis(C)
+
+    for module in (engine, matroid):
+        monkeypatch.setattr(module, "column_basis", counting)
+    S_ = Subspace(**presentation)
+    vectors = S_.nonzero_sign_vectors()
+    S_.dim(), S_.kernel_presentation()
+    assert len(calls) == ("C" in presentation)
+    assert vectors == _expected_sign_vectors(S_)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["C", "Z"]))
+def test_nonzero_sign_vectors_match_image_sign_vectors(rnd, kind):
+    """On random presentations, dependent ones included, nonzero_sign_vectors
+    is the image presentation's image_sign_vectors minus 0."""
+    n, k = rnd.randint(1, 4), rnd.randint(0, 4)
+    rows, cols = (k, n) if kind == "Z" else (n, k)
+    entries = [[rnd.choice((0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)]
+    S_ = Subspace(**{kind: M(entries, rows, cols)})
+    assert S_.nonzero_sign_vectors() == _expected_sign_vectors(S_)
 
 
 def test_counterexample_construction_direct():
@@ -450,37 +494,44 @@ def test_subspace_verdicts_keep_the_symmetries(rnd):
     assert gamma_det_poly(H @ Aprime, B, Z).terms == {key: det(H) * c for key, c in terms.items()}
 
 
-def _zero_row(rnd, A, B, T):
-    return M(A.entries + ((0,) * A.cols,)), B, T
+def _zero_row(rnd, A, B, S_):
+    return M(A.entries + ((0,) * A.cols,)), B, S_
 
 
-def _scaled_reactions(rnd, A, B, T):
+def _scaled_reactions(rnd, A, B, S_):
     d = [Fraction(rnd.randint(1, 3), rnd.randint(1, 3)) for _ in range(A.cols)]
-    return M([[a * dj for a, dj in zip(row, d)] for row in A.entries]), B, T
+    return M([[a * dj for a, dj in zip(row, d)] for row in A.entries]), B, S_
 
 
-def _scaled_exponents(rnd, A, B, T):
+def _scaled_exponents(rnd, A, B, S_):
     d = [rnd.choice((1, 2, 3, Fraction(1, 2))) for _ in range(B.cols)]
-    return A, M([[b * di for b, di in zip(row, d)] for row in B.entries]), T
+    return A, M([[b * di for b, di in zip(row, d)] for row in B.entries]), S_
 
 
-def _inverted_coordinate(rnd, A, B, T):
+def _inverted_coordinate(rnd, A, B, S_):
     i = rnd.randrange(B.cols)
 
     def flip(v):
         return [-x if k == i else x for k, x in enumerate(v)]
 
-    return A, M([flip(row) for row in B.entries]), T and tuple(SignVector(flip(t)) for t in T)
+    if isinstance(S_, OrthantUnion):
+        S_ = OrthantUnion(tuple(SignVector(flip(t)) for t in S_.T))
+    elif isinstance(S_, Subspace):
+        C = S_.C
+        S_ = Subspace(C=M([[-x for x in row] if k == i else row for k, row in enumerate(C.entries)], C.rows, C.cols))
+    return A, M([flip(row) for row in B.entries]), S_
 
 
-def _duplicated_reaction(rnd, A, B, T):
+def _duplicated_reaction(rnd, A, B, S_):
     j = rnd.randrange(A.cols)
-    return M([row + (row[j],) for row in A.entries]), M(B.entries + (B.row(j),)), T
+    return M([row + (row[j],) for row in A.entries]), M(B.entries + (B.row(j),)), S_
+
+
+SYMMETRIES = [_zero_row, _scaled_reactions, _scaled_exponents, _inverted_coordinate, _duplicated_reaction]
 
 
 @pytest.mark.parametrize("space", ["full", "orthants"])
-@pytest.mark.parametrize("relation", [_zero_row, _scaled_reactions, _scaled_exponents, _inverted_coordinate,
-                                      _duplicated_reaction], ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("relation", SYMMETRIES, ids=lambda f: f.__name__.lstrip("_"))
 @settings(max_examples=50, deadline=None)
 @given(rnd=st.randoms(use_true_random=False))
 def test_full_space_and_orthant_verdicts_keep_the_symmetries(space, relation, rnd):
@@ -494,15 +545,36 @@ def test_full_space_and_orthant_verdicts_keep_the_symmetries(space, relation, rn
     m, n, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 5)
     A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
     B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
-    T = None
+    S_ = FullSpace()
     if space == "orthants":
         nonzero = [SignVector(t) for t in product((-1, 0, 1), repeat=n) if any(t)]
-        T = tuple(rnd.sample(nonzero, rnd.randint(1, min(len(nonzero), 6))))
-    A2, B2, T2 = relation(rnd, A, B, T)
+        S_ = OrthantUnion(tuple(rnd.sample(nonzero, rnd.randint(1, min(len(nonzero), 6)))))
+    A2, B2, S2 = relation(rnd, A, B, S_)
     try:
-        injective = [check_injectivity(a, b, FullSpace() if t is None else OrthantUnion(t)).injective
-                     for a, b, t in ((A, B, T), (A2, B2, T2))]
+        injective = [check_injectivity(a, b, s).injective for a, b, s in ((A, B, S_), (A2, B2, S2))]
     except TooLarge:
+        return
+    assert injective[0] == injective[1]
+
+
+@pytest.mark.parametrize("relation", SYMMETRIES, ids=lambda f: f.__name__.lstrip("_"))
+@settings(max_examples=50, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_subspace_verdicts_keep_the_sign_symmetries(relation, rnd):
+    """The five relations of the full-space and orthant test keep the verdict
+    for a subspace S = im C too: x_i -> 1/x_i then negates row i of C. C's
+    columns may be dependent, and in most draws dim S is rank A, so that the
+    minors and det-polynomial routes decide."""
+    m, n, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 5)
+    A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
+    B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
+    s = rank(A)
+    k = s if s <= n and rnd.random() < 0.7 else rnd.randint(0, n)
+    C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(n)], n, k)
+    A2, B2, S2 = relation(rnd, A, B, Subspace(C=C))
+    try:
+        injective = [check_injectivity(a, b, s_).injective for a, b, s_ in ((A, B, Subspace(C=C)), (A2, B2, S2))]
+    except (TooLarge, SearchBudgetExceeded):
         return
     assert injective[0] == injective[1]
 
@@ -524,7 +596,8 @@ def _sweep(A, B, T, budget, nogoods):
         patch.setattr(engine, "construct_counterexample",
                       lambda *args: witnesses.append(args[3:6]) or construct(*args))
         try:
-            outcome = engine._sign_search(A, B, T, OrthantUnion(T), 256)
+            S_ = OrthantUnion(T)
+            outcome = engine._sign_search(A, B, S_.T, S_, 256)
         except SearchBudgetExceeded as exc:
             outcome = str(exc)
     return outcome, len(pairs), len(lps), witnesses

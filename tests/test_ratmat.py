@@ -27,6 +27,7 @@ from signject.ratmat import (
     parse_rational,
     permutation_sign_tau,
     rank,
+    row_basis,
     rref,
     verify_gale_relation,
 )
@@ -164,15 +165,26 @@ def test_integer_rref_matches_rref(rows, cols, rnd):
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# up to 5 x 6 fractional matrices; _vary keeps one as drawn, makes its last row
+# dependent on the first two, or zeroes it
+_matrices = st.integers(0, 5).flatmap(lambda rows: st.integers(0, 6).flatmap(
+    lambda cols: st.lists(st.lists(_fractions, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows).map(lambda g: M(g, rows, cols))))
+_variants = st.sampled_from(["as drawn", "last row dependent", "all zero"])
+
+
+def _vary(A, variant):
+    if variant == "last row dependent" and A.rows > 1:
+        grid = [list(row) for row in A.entries]
+        grid[-1] = [Fraction(-2, 3) * a + b for a, b in zip(grid[0], grid[1])]
+        return M(grid, A.rows, A.cols)
+    if variant == "all zero":
+        return M.zeros(A.rows, A.cols)
+    return A
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 5).flatmap(lambda rows: st.integers(0, 6).flatmap(
-        lambda cols: st.lists(st.lists(_fractions, min_size=cols, max_size=cols),
-                              min_size=rows, max_size=rows).map(lambda g: M(g, rows, cols)))),
-    st.sampled_from(["as drawn", "last row dependent", "all zero"]),
-)
+@given(_matrices, _variants)
 @example(M([], 0, 0), "as drawn")
 @example(M([], 0, 3), "as drawn")
 @example(M([[], [], []], 3, 0), "as drawn")
@@ -181,12 +193,7 @@ def test_rref_defining_properties(A, variant):
     """rref(A) = (R, Q) is checked by what defines it, not against itself: R is
     in reduced row-echelon form with pivot columns Q, A = A[:, Q] R[:k], and
     some k-minor A_{P,Q} is nonzero, so k is the rank."""
-    if variant == "last row dependent" and A.rows > 1:
-        grid = [list(row) for row in A.entries]
-        grid[-1] = [Fraction(-2, 3) * a + b for a, b in zip(grid[0], grid[1])]
-        A = M(grid, A.rows, A.cols)
-    elif variant == "all zero":
-        A = M.zeros(A.rows, A.cols)
+    A = _vary(A, variant)
     R, Q = rref(A)
     k = len(Q)
     assert (R.rows, R.cols) == (A.rows, A.cols)
@@ -197,6 +204,30 @@ def test_rref_defining_properties(A, variant):
     assert all(e == 0 for i in range(k, A.rows) for e in R.row(i))
     assert A.submatrix(range(A.rows), Q) @ M(R.entries[:k], k, A.cols) == A
     assert any(cofactor_det(A.submatrix(P, Q)) != 0 for P in combinations(range(A.rows), k))
+
+
+def _pivot_rows(A):
+    """The nonzero rows of rref(A), built as the engine built its own A' and
+    Z bases before ``row_basis``."""
+    R, pivots = rref(A)
+    rows = [R.entries[i] for i in range(len(pivots))]
+    return RationalMatrix(rows, len(rows), A.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices, _variants)
+@example(M([], 0, 3), "as drawn")
+@example(M([[], [], []], 3, 0), "as drawn")
+@example(M.zeros(3, 4), "as drawn")
+def test_row_basis_keeps_the_kernel(A, variant):
+    """row_basis(A) has rank(A) independent rows and the kernel of A: each
+    annihilates the other's kernel basis. It equals the engine's former copy."""
+    A = _vary(A, variant)
+    R = row_basis(A)
+    assert R.cols == A.cols
+    assert R.rows == rank(R) == rank(A)
+    assert (A @ kernel_basis(R)).is_zero() and (R @ kernel_basis(A)).is_zero()
+    assert R == _pivot_rows(A)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,9 +2,9 @@
 
 Checks written as ``assert`` vanish under ``python -O``, so the package raises
 instead; every import is used, and none is numpy; every function and class
-has a caller; no module but ``ratmat.py`` names ``integer_det``; no module
-but ``cli.py`` touches the environment; no function but ``cli.main`` writes
-output; no function writes into its caller's arguments; and no result class
+has a caller; no module but ``ratmat.py`` names ``integer_det`` or calls
+``rref``; no module touches the environment; no function but ``cli.main``
+writes output; no function writes into its caller's arguments; and no result class
 renders itself as JSON.
 """
 import ast
@@ -96,13 +96,26 @@ def test_only_ratmat_names_integer_det(path):
     assert lines == [], f"{path.name}: integer_det named at lines {lines}"
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ratmat.py"], ids=lambda p: p.name)
+def test_only_ratmat_calls_rref(path):
+    """Every row basis, kernel and rank outside ratmat comes from its
+    ``row_basis``, ``kernel_basis``, ``column_basis`` or ``rank``, so no other
+    module calls or imports ``rref``; ``__init__.py`` only re-exports it. A
+    basis re-derived from an rref elsewhere shows here."""
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Name) and node.id == "rref"
+             or isinstance(node, ast.Attribute) and node.attr == "rref"
+             or isinstance(node, ast.alias) and node.name == "rref" and path.name != "__init__.py"]
+    assert lines == [], f"{path.name}: rref named at lines {lines}"
+
+
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_cli_reads_the_environment(path):
-    """The library reads no environment variable: precision and every other
-    setting arrive as parameters, and only cli.py maps the environment onto them."""
+    """No module reads an environment variable, the CLI included: precision
+    and every other setting arrive as options or parameters."""
     lines = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
