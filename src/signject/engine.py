@@ -3,9 +3,9 @@
 Decides whether the whole family f_kappa(x) = A diag(kappa) x^B is injective
 with respect to a subset S of R^n, for all positive kappa. Three routes exist
 and provably agree: the paired-minor sign test, the symbolic determinant of
-the bordered square matrix, and the exhaustive sign-pair search. All
-verdict-bearing arithmetic is exact; floating point enters only when a
-counterexample witness is rendered and re-verified at high precision. The
+the bordered square matrix, and the exhaustive sign-pair search. They decide
+exactly and return a sign pair; floating point enters only at the one
+``construct_counterexample`` call, which renders and re-verifies it. The
 witness builder and evaluate_map compute on raw mpmath.libmp values, with the
 roundings mpmath's contexts use: to nearest for points, as mp does, and
 outward for enclosures, as iv does. They import mpmath when called, so
@@ -34,7 +34,6 @@ from .ratmat import (
     kernel_basis,
     maximal_minors,
     permutation_sign_tau,
-    rank,
     row_basis,
 )
 from .signs import SignVector, sigma, sign_of
@@ -571,56 +570,56 @@ def _nogood(certificate, signs):
 
 
 def _refuted(nogoods, B: RationalMatrix, signs) -> bool:
-    """True iff a nogood decides the pair with these constraint signs: every
-    support row's sign is 0 or sign(c_i), and one is nonzero.
+    """True iff a nogood decides the pair with these constraint signs: in one
+    orientation o = +-1 (the pair LP is symmetric under y -> -y), every
+    support row's sign is 0 or o sign(c_i), and one is nonzero.
 
-    Then lambda'_i = |c_i| on the rows that keep a sign and c_i on those that
-    became equalities combine the same rows to the same zero, with a positive
-    total. That combination is checked again on the pair's own support rows
-    before the pair is skipped.
+    Then lambda'_i = |c_i| on the rows that keep a sign and o c_i on those
+    that became equalities combine the same rows to the same zero, with a
+    positive total, checked again on the pair's own support rows first.
     """
     n = B.cols
     pos = sum(1 << i for i, s in enumerate(signs) if s > 0)
     neg = sum(1 << i for i, s in enumerate(signs) if s < 0)
     for c_pos, c_neg, terms in nogoods:
-        if pos & c_neg or neg & c_pos or not (pos | neg) & (c_pos | c_neg):
+        agree, oppose = pos & c_pos | neg & c_neg, pos & c_neg | neg & c_pos
+        if bool(agree) == bool(oppose):
             continue
+        o = 1 if agree else -1
         rows, lams = [], []
         for i, c in terms:
             s = signs[i]
             rows.append((unit_row(n, i) if i < n else B.entries[i - n], s))
-            lams.append(c * s if s else c)
+            lams.append(o * (c * s if s else c))
         check_certificate(n, rows, lams)
         return True
     return False
 
 
-def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
+def _sign_search(A: RationalMatrix, B: RationalMatrix, T):
     """The exhaustive feasibility search over (mu, tau) pairs, for T the
     canonically ordered distinct nonzero sign vectors of S (``OrthantUnion.T``
-    or ``Subspace.nonzero_sign_vectors``).
+    or ``Subspace.nonzero_sign_vectors``). Returns (verdict, pair), pair the
+    first feasible (mu, tau, y) (sigma(By) = mu, sigma(y) = tau) or None.
 
-    Each pair with mu in sigma(ker A) is decided by its y block alone
-    (``_pair_y``), which gives the witness of the joint LP's y half, or
-    without an LP by a nogood: the checked Farkas certificate of an earlier
-    infeasible pair that fits it (``_refuted``), re-checked on the pair's own
-    rows. A nogood never fits a feasible pair, so every witness comes from the
-    same LP as without nogoods. Raises SearchBudgetExceeded instead of deciding
-    more than SIGN_SEARCH_LP_BUDGET pairs, whether by LP or by nogood, so the
-    budget trips where it would if every pair took an LP.
+    mu = 0 takes the first tau of T in sigma(ker B). Each other pair (mu in
+    sigma(ker A)) is decided by its y block alone (``_pair_y``), or without an
+    LP by a nogood: the checked Farkas certificate of an earlier infeasible
+    pair that fits it in either orientation (``_refuted``), re-checked on the
+    pair's own rows. A nogood never fits a feasible pair, so every witness
+    comes from the same LP as without nogoods. Raises SearchBudgetExceeded
+    instead of deciding more than SIGN_SEARCH_LP_BUDGET pairs, by LP or by
+    nogood, so the budget trips where it would if every pair took an LP.
     """
-    r = A.cols
     if not T:
-        return Verdict(True, "sign_search", certificate={"empty_condition": True})
+        return Verdict(True, "sign_search", certificate={"empty_condition": True}), None
 
     # mu = 0 arm: feasible iff ker(B) meets one of the requested orthants
     kerB = set(matroid_vectors(B))
-    shared = sorted(kerB.intersection(T))
-    if shared:
-        tau = shared[0]
-        y_hat = rational_point_with_sign(B, tau)
-        cx = construct_counterexample(A, B, S, _zero_mu(r), tau, y_hat, prec)
-        return Verdict(False, "sign_search", counterexample=cx)
+    tau = next((t for t in T if t in kerB), None)
+    if tau is not None:
+        y = rational_point_with_sign(B, tau)
+        return Verdict(False, "sign_search"), (_zero_mu(A.cols), tau, y)
 
     mus = tuple(v for v in matroid_vectors(A) if not v.is_zero())
     nogoods = []
@@ -636,15 +635,14 @@ def _sign_search(A: RationalMatrix, B: RationalMatrix, T, S, prec):
                 continue
             result = _pair_y(B, mu, tau)
             if result.feasible:
-                cx = construct_counterexample(A, B, S, mu, tau, result.witness, prec)
-                return Verdict(False, "sign_search", counterexample=cx)
+                return Verdict(False, "sign_search"), (mu, tau, result.witness)
             nogoods.append(_nogood(result.certificate, signs))
     certificate = {
         "pairs_tested": tested,
         "mu_candidates": mus,
         "tau_candidates": T,
     }
-    return Verdict(True, "sign_search", certificate=certificate)
+    return Verdict(True, "sign_search", certificate=certificate), None
 
 
 def check_injectivity(
@@ -652,8 +650,8 @@ def check_injectivity(
 ) -> Verdict:
     """Decide injectivity of the family with respect to S, dispatching on the shape of S.
 
-    prec is the working precision, in bits, at which a counterexample is
-    rendered and re-verified; the verdict itself is exact.
+    Routes decide exactly and return the (mu, tau, y) of a "not injective"
+    verdict; the one ``construct_counterexample`` call renders it at prec bits.
     """
     r = A.cols
     if B.rows != r:
@@ -665,44 +663,44 @@ def check_injectivity(
 
     check_ambient_dim(S, n)
     if isinstance(S, FullSpace):
-        verdict = _check_full_space(A, B, S, prec)
+        verdict, pair = _check_full_space(A, B)
     elif isinstance(S, OrthantUnion):
-        verdict = _sign_search(A, B, S.T, S, prec)
+        verdict, pair = _sign_search(A, B, S.T)
     elif isinstance(S, Subspace):
         dim = S.dim()
         if dim == 0:
-            verdict = Verdict(True, "minors", certificate={"empty_condition": True})
+            verdict, pair = Verdict(True, "minors", certificate={"empty_condition": True}), None
         elif dim != (Aprime := row_basis(A)).rows:
-            verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, prec)
+            verdict, pair = _sign_search(A, B, S.nonzero_sign_vectors())
         else:
-            verdict = _check_subspace_minors(A, Aprime, B, S, prec)
+            verdict, pair = _check_subspace_minors(A, Aprime, B, S)
     else:
         raise TypeError(f"unknown subset specification {type(S).__name__}")
+    counterexample = None if pair is None else construct_counterexample(A, B, S, *pair, prec)
     # a route's verdict carries only its own warnings; the duplicate-rows one goes first
-    return replace(verdict, warnings=warnings + verdict.warnings)
+    return replace(verdict, counterexample=counterexample, warnings=warnings + verdict.warnings)
 
 
-def _check_full_space(A, B, S, prec):
-    """S = R^n. A counterexample comes from the smallest rho in sigma(ker A) ∩
-    sigma(im B): rho is in sigma(ker A), so the pair (rho, tau) is decided by its
-    y block alone (``_pair_y``), with the witness of the joint LP's y half."""
-    m, r = A.rows, A.cols
-    n = B.cols
-    if rank(B) < n:
+def _check_full_space(A, B):
+    """S = R^n, as (verdict, pair) like ``_sign_search``: a y in ker B pairs
+    with mu = 0, and otherwise the smallest rho in sigma(ker A) ∩ sigma(im B)
+    with the y block (``_pair_y``) of the pair (rho, tau), as rho is in sigma(ker A)."""
+    m, n = A.rows, B.cols
+    K = kernel_basis(B)
+    if K.cols:
         # ker(B) nontrivial: the monomial map itself is not injective
-        kv = kernel_basis(B).column(0)
-        cx = construct_counterexample(A, B, S, _zero_mu(r), sigma(kv), kv, prec)
-        return Verdict(False, "full_space", counterexample=cx)
+        y = K.column(0)
+        return Verdict(False, "full_space"), (_zero_mu(A.cols), sigma(y), y)
     ledger = None
     if m == n:
         holds, ledger = check_minors(A, B, n)
         if holds:
-            return Verdict(True, "minors", certificate=ledger)
+            return Verdict(True, "minors", certificate=ledger), None
     shared = common_sign_vectors(A, B)
     if not shared:
         if m == n:
             raise InternalError("minors route failed but sign sets do not intersect")
-        return Verdict(True, "sign_search", certificate={"kernel_image_intersection": "trivial"})
+        return Verdict(True, "sign_search", certificate={"kernel_image_intersection": "trivial"}), None
     rho = shared[0]
     # rho in sigma(im B): recover a y with sigma(By) = rho, then pair it with rho
     res = solve_strict(StrictSystem(nvars=n, linear_sign_rows=B, linear_signs=rho))
@@ -712,18 +710,17 @@ def _check_full_space(A, B, S, prec):
     pair = _pair_y(B, rho, tau)
     if not pair.feasible:
         raise VerificationFailed("the sign pair (rho, sigma(y)) is infeasible")
-    cx = construct_counterexample(A, B, S, rho, tau, pair.witness, prec)
-    return Verdict(False, "minors" if m == n else "sign_search", certificate=ledger, counterexample=cx)
+    return Verdict(False, "minors" if m == n else "sign_search", certificate=ledger), (rho, tau, pair.witness)
 
 
-def _check_subspace_minors(A, Aprime, B, S, prec):
-    """dim S = rank A: the minors and det-polynomial routes decide, and a failed
-    verdict takes its counterexample from the sign search.
+def _check_subspace_minors(A, Aprime, B, S):
+    """dim S = rank A, as (verdict, pair) like ``_sign_search``: the minors and
+    det-polynomial routes decide, and a failed verdict takes its pair from the
+    sign search.
 
     Aprime is row_basis(A). If the sign search hits its pair budget (it decides
     at most SIGN_SEARCH_LP_BUDGET (mu, tau) pairs, by LP or by nogood), the
-    decided verdict is returned with its certificate, no counterexample and a
-    warning.
+    decided verdict is returned with its certificate, no pair and a warning.
     """
     C = S.image_presentation()
     Z = S.kernel_presentation()
@@ -733,13 +730,13 @@ def _check_subspace_minors(A, Aprime, B, S, prec):
         raise InternalError("the (min) and (det) routes disagree; internal bug")
     certificate = {"minors": ledger, "det_poly_sign_count": len(poly.signs())}
     if holds:
-        return Verdict(True, "minors", certificate=certificate)
+        return Verdict(True, "minors", certificate=certificate), None
     try:
-        verdict = _sign_search(A, B, S.nonzero_sign_vectors(), S, prec)
+        verdict, pair = _sign_search(A, B, S.nonzero_sign_vectors())
     except SearchBudgetExceeded:
         return Verdict(False, "minors", certificate=certificate, warnings=(
             f"no counterexample: the (mu, tau) sign search stopped at its {SIGN_SEARCH_LP_BUDGET:,}-LP "
-            "budget after the minors route had decided",))
+            "budget after the minors route had decided",)), None
     if verdict.injective:
         raise InternalError("minor route failed but sign search found no feasible pair")
-    return replace(verdict, method="minors", certificate=certificate)
+    return Verdict(False, "minors", certificate=certificate), pair

@@ -494,18 +494,33 @@ def test_subspace_verdicts_keep_the_symmetries(rnd):
     assert gamma_det_poly(H @ Aprime, B, Z).terms == {key: det(H) * c for key, c in terms.items()}
 
 
+# Each relation returns the new instance and carry(kappa, x, y), which maps a
+# counterexample of the old instance (x and y as mpf) to one of the new.
+
+
 def _zero_row(rnd, A, B, S_):
-    return M(A.entries + ((0,) * A.cols,)), B, S_
+    return M(A.entries + ((0,) * A.cols,)), B, S_, lambda kappa, x, y: (kappa, x, y)
 
 
 def _scaled_reactions(rnd, A, B, S_):
     d = [Fraction(rnd.randint(1, 3), rnd.randint(1, 3)) for _ in range(A.cols)]
-    return M([[a * dj for a, dj in zip(row, d)] for row in A.entries]), B, S_
+
+    def carry(kappa, x, y):
+        return [k / dj for k, dj in zip(kappa, d)], x, y
+
+    return M([[a * dj for a, dj in zip(row, d)] for row in A.entries]), B, S_, carry
 
 
 def _scaled_exponents(rnd, A, B, S_):
-    d = [rnd.choice((1, 2, 3, Fraction(1, 2))) for _ in range(B.cols)]
-    return A, M([[b * di for b, di in zip(row, d)] for row in B.entries]), S_
+    d = [Fraction(rnd.choice((1, 2, 3, Fraction(1, 2)))) for _ in range(B.cols)]
+
+    def carry(kappa, x, y):
+        def root(v):
+            return [vi ** (mp.mpf(di.denominator) / di.numerator) for vi, di in zip(v, d)]
+
+        return kappa, root(x), root(y)
+
+    return A, M([[b * di for b, di in zip(row, d)] for row in B.entries]), S_, carry
 
 
 def _inverted_coordinate(rnd, A, B, S_):
@@ -514,20 +529,44 @@ def _inverted_coordinate(rnd, A, B, S_):
     def flip(v):
         return [-x if k == i else x for k, x in enumerate(v)]
 
+    def carry(kappa, x, y):
+        def invert(v):
+            return [1 / vk if k == i else vk for k, vk in enumerate(v)]
+
+        return kappa, invert(x), invert(y)
+
     if isinstance(S_, OrthantUnion):
         S_ = OrthantUnion(tuple(SignVector(flip(t)) for t in S_.T))
     elif isinstance(S_, Subspace):
         C = S_.C
         S_ = Subspace(C=M([[-x for x in row] if k == i else row for k, row in enumerate(C.entries)], C.rows, C.cols))
-    return A, M([flip(row) for row in B.entries]), S_
+    return A, M([flip(row) for row in B.entries]), S_, carry
 
 
 def _duplicated_reaction(rnd, A, B, S_):
     j = rnd.randrange(A.cols)
-    return M([row + (row[j],) for row in A.entries]), M(B.entries + (B.row(j),)), S_
+
+    def carry(kappa, x, y):
+        half = kappa[j] / 2
+        return [half if k == j else kj for k, kj in enumerate(kappa)] + [half], x, y
+
+    return M([row + (row[j],) for row in A.entries]), M(B.entries + (B.row(j),)), S_, carry
 
 
 SYMMETRIES = [_zero_row, _scaled_reactions, _scaled_exponents, _inverted_coordinate, _duplicated_reaction]
+# the relations that keep x - y in a subspace S
+SUBSPACE_CARRIERS = (_zero_row, _scaled_reactions, _duplicated_reaction)
+
+
+def _assert_carried(verdict, carry, A, B):
+    """If verdict has a counterexample, carry maps it to one that
+    verify_counterexample accepts for (A, B) at 256 bits."""
+    cx = verdict.counterexample
+    if cx is None:
+        return
+    with mp.workprec(256):
+        kappa, x, y = carry(cx.kappa, [mp.mpf(v) for v in cx.x], [mp.mpf(v) for v in cx.y])
+    assert engine.verify_counterexample(A, B, kappa, x, y, 256)[0]
 
 
 @pytest.mark.parametrize("space", ["full", "orthants"])
@@ -541,7 +580,9 @@ def test_full_space_and_orthant_verdicts_keep_the_symmetries(space, relation, rn
     positive diagonal D, x_i -> 1/x_i (column i of B and coordinate i of
     every orthant negated) and a duplicated reaction (a column of A repeated
     with its row of B: its rate constants add up) keep each of them, so the
-    verdict."""
+    verdict. The same maps carry a counterexample of the first instance to
+    one of the second: kappa_j -> kappa_j / d_j, x_i -> x_i^{1/d_i}, x_i ->
+    1/x_i (y alike) and kappa_j split into two halves."""
     m, n, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 5)
     A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
     B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
@@ -549,12 +590,13 @@ def test_full_space_and_orthant_verdicts_keep_the_symmetries(space, relation, rn
     if space == "orthants":
         nonzero = [SignVector(t) for t in product((-1, 0, 1), repeat=n) if any(t)]
         S_ = OrthantUnion(tuple(rnd.sample(nonzero, rnd.randint(1, min(len(nonzero), 6)))))
-    A2, B2, S2 = relation(rnd, A, B, S_)
+    A2, B2, S2, carry = relation(rnd, A, B, S_)
     try:
-        injective = [check_injectivity(a, b, s).injective for a, b, s in ((A, B, S_), (A2, B2, S2))]
+        verdicts = [check_injectivity(a, b, s) for a, b, s in ((A, B, S_), (A2, B2, S2))]
     except TooLarge:
         return
-    assert injective[0] == injective[1]
+    assert verdicts[0].injective == verdicts[1].injective
+    _assert_carried(verdicts[0], carry, A2, B2)
 
 
 @pytest.mark.parametrize("relation", SYMMETRIES, ids=lambda f: f.__name__.lstrip("_"))
@@ -564,43 +606,44 @@ def test_subspace_verdicts_keep_the_sign_symmetries(relation, rnd):
     """The five relations of the full-space and orthant test keep the verdict
     for a subspace S = im C too: x_i -> 1/x_i then negates row i of C. C's
     columns may be dependent, and in most draws dim S is rank A, so that the
-    minors and det-polynomial routes decide."""
+    minors and det-polynomial routes decide. The zero row, the scaled
+    reactions and the duplicated reaction keep x - y in S, so they carry a
+    counterexample too."""
     m, n, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 5)
     A = M([[Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)) for _ in range(r)] for _ in range(m)])
     B = M([[Fraction(rnd.randint(-2, 2)) for _ in range(n)] for _ in range(r)])
     s = rank(A)
     k = s if s <= n and rnd.random() < 0.7 else rnd.randint(0, n)
     C = M([[Fraction(rnd.randint(-2, 2)) for _ in range(k)] for _ in range(n)], n, k)
-    A2, B2, S2 = relation(rnd, A, B, Subspace(C=C))
+    A2, B2, S2, carry = relation(rnd, A, B, Subspace(C=C))
     try:
-        injective = [check_injectivity(a, b, s_).injective for a, b, s_ in ((A, B, Subspace(C=C)), (A2, B2, S2))]
+        verdicts = [check_injectivity(a, b, s_) for a, b, s_ in ((A, B, Subspace(C=C)), (A2, B2, S2))]
     except (TooLarge, SearchBudgetExceeded):
         return
-    assert injective[0] == injective[1]
+    assert verdicts[0].injective == verdicts[1].injective
+    if relation in SUBSPACE_CARRIERS:
+        _assert_carried(verdicts[0], carry, A2, B2)
 
 
 # -- nogoods in the (mu, tau) sweep ---------------------------------------------
 
 
 def _sweep(A, B, T, budget, nogoods):
-    """(outcome, pairs decided, pair LPs, witnesses) of the sweep over T, with
-    its nogoods or without them; the outcome is the verdict, or the budget
-    message."""
-    pairs, lps, witnesses = [], [], []
-    refuted, pair_y, construct = engine._refuted, engine._pair_y, engine.construct_counterexample
+    """(outcome, pairs decided, pair LPs, pair) of the sweep over T, with its
+    nogoods or without them; the outcome is the verdict, or the budget
+    message, and pair is the feasible (mu, tau, y) it returns, or None."""
+    pairs, lps, pair = [], [], None
+    refuted, pair_y = engine._refuted, engine._pair_y
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "SIGN_SEARCH_LP_BUDGET", budget)
         patch.setattr(engine, "_refuted",
                       lambda *args: pairs.append(1) or (nogoods and refuted(*args)))
         patch.setattr(engine, "_pair_y", lambda *args: lps.append(1) or pair_y(*args))
-        patch.setattr(engine, "construct_counterexample",
-                      lambda *args: witnesses.append(args[3:6]) or construct(*args))
         try:
-            S_ = OrthantUnion(T)
-            outcome = engine._sign_search(A, B, S_.T, S_, 256)
+            outcome, pair = engine._sign_search(A, B, OrthantUnion(T).T)
         except SearchBudgetExceeded as exc:
             outcome = str(exc)
-    return outcome, len(pairs), len(lps), witnesses
+    return outcome, len(pairs), len(lps), pair
 
 
 @settings(max_examples=60, deadline=None)
@@ -648,11 +691,12 @@ def test_mutated_nogood_fails_its_recheck():
     result = engine._pair_y(B, mu, tau)
     assert not result.feasible
     nogood = engine._nogood(result.certificate, tau + mu)
-    # another pair that the nogood decides
-    other = S("-0") + mu
-    assert engine._refuted([nogood], B, other)
-    with pytest.raises(InternalError, match="Farkas certificate does not prove infeasibility"):
-        engine._refuted([_doubled(nogood)], B, other)
+    # another pair that the nogood decides, and the negated pair, which it
+    # decides in the other orientation (the pair LP is symmetric under y -> -y)
+    for other in (S("-0") + mu, tuple(-s for s in tau + mu)):
+        assert engine._refuted([nogood], B, other)
+        with pytest.raises(InternalError, match="Farkas certificate does not prove infeasibility"):
+            engine._refuted([_doubled(nogood)], B, other)
 
 
 def test_mutated_nogood_exits_5(tmp_path, capsys, monkeypatch):

@@ -204,3 +204,26 @@ def test_only_the_matrix_file_format_has_a_to_json_dict():
     assert sorted(found) == ["engine.py:Verdict", "ratmat.py:RationalMatrix"]
     delegate = found["engine.py:Verdict"]
     assert ast.unparse(delegate.body[-1]) == "return _json_value(self)"
+
+
+def test_one_counterexample_call_and_no_precision_in_the_routes():
+    """The engine's routes decide exactly and return a sign pair, so
+    ``construct_counterexample`` has one caller, ``engine.check_injectivity``,
+    no route takes a working precision, and the two that render no point of
+    S do not take S."""
+    callers = []
+    routes = {}
+    for path in MODULES:
+        tree = _tree(path)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name == "engine.py" and func.name in ("_sign_search", "_check_full_space",
+                                                          "_check_subspace_minors"):
+                routes[func.name] = [arg.arg for arg in func.args.args]
+            callers += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                        if isinstance(node, ast.Call) and _named(node.func)["construct_counterexample"]]
+    assert callers == ["engine.py:check_injectivity"]
+    assert sorted(routes) == ["_check_full_space", "_check_subspace_minors", "_sign_search"]
+    assert [name for name, params in routes.items() if "prec" in params] == []
+    assert "S" not in routes["_sign_search"] + routes["_check_full_space"]
